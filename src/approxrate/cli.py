@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, cartoon, constructors, nnet, quantizer, ratelab, wedgelet
-from .exceptions import ApproxRateError
+from .exceptions import ApproxRateError, FormatError
 from .splines import bspline_closed
 
 FORMAT_VERSIONS = {
@@ -54,9 +54,15 @@ def write_raw_array(path: str, arr: np.ndarray):
 
 
 def read_raw_array(path: str) -> np.ndarray:
+    """Inverse of ``write_raw_array``; a short or long file is a FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if len(data) < 8:
+        raise FormatError(f"raw file has {len(data)} bytes, less than its header")
     rows, cols = struct.unpack("<II", data[:8])
+    if len(data) - 8 != 8 * rows * cols:
+        raise FormatError(f"raw payload has {len(data) - 8} bytes, "
+                          f"a {rows}x{cols} array needs {8 * rows * cols}")
     arr = np.frombuffer(data[8:], dtype="<f8")
     return arr.reshape(rows, cols).copy()
 

@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import (
     CorruptionError,
     DegenerateWedgeError,
+    DomainError,
     FormatError,
     InputShapeError,
     RangeError,
@@ -372,6 +373,8 @@ def _check_array(f_array, n):
     f = np.asarray(f_array, dtype=float)
     if f.shape != (n, n):
         raise InputShapeError(f"expected a {n}x{n} array, got {f.shape}")
+    if not np.isfinite(f).all():
+        raise DomainError("array holds a NaN or infinite value")
     return f
 
 
@@ -392,43 +395,48 @@ def _unit_vertices(m_j: int):
     return [_perimeter_point(sq, i * spacing) for i in range(m_j)]
 
 
-def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
-            lam: float = 0.0, supersample: int = CODEC_SUPERSAMPLE) -> EdRdp:
-    """Globally optimal penalized fit over the capped edgelet dictionary.
+@dataclass(frozen=True)
+class _Scores:
+    """Penalty-free costs of every square of one image, indexed by scale j.
 
-    Bottom-up dynamic program minimizing squared L2 error plus
-    ``lam * leaf_count``; per square the best edgelet split (both wedge
-    coefficients fitted jointly) competes against staying a leaf and
-    against the quad split.  Ties prefer smaller edgelet indices, then the
-    unsplit leaf, then the leaf over the quad, so results are reproducible
-    bit for bit.
+    ``unsplit[j][i]`` is the squared error of square i kept whole,
+    ``split[j][i]`` the smallest squared error over its valid edgelet
+    splits (inf at the pixel scale) and ``edge[j][i]`` the local index of
+    that edgelet (-1 when there is none).  Square i sits at
+    (ix, iy) = (i mod 2^j, i div 2^j).
+    """
+
+    J: int
+    K: int
+    m_cap: int
+    unsplit: tuple
+    split: tuple
+    edge: tuple
+
+
+def _score(f, J: int, K: int, m_cap: int, s: int) -> _Scores:
+    """Rasterize the edgelet dictionary once and score it on every square.
+
+    Per square the edgelet with the smallest two-wedge squared error wins;
+    ties go to the smaller local index.  The penalty plays no part, so one
+    score serves every lambda.
     """
     n = 1 << J
-    f = _check_array(f_array, n)
-    if lam < 0.0:
-        raise RangeError("lambda must be >= 0")
-    s = int(supersample)
     norm = 1.0 / (n * n)
-
-    leaf_cost = {}
-    leaf_choice = {}  # (j) -> array of (-2 quad, -1 unsplit, >=0 edgelet index)
-    best_cost = {}
-    # pixel-scale squares: plain leaves only
-    for j in range(J, -1, -1):
+    unsplit, split, edge = [], [], []
+    for j in range(J + 1):
         size = 1 << (J - j)
         nsq = 1 << (2 * j)
         blocks = f.reshape(1 << j, size, 1 << j, size).transpose(0, 2, 1, 3)
         blocks = blocks.reshape(nsq, size, size)  # index = iy * 2^j + ix
         sums = blocks.sum(axis=(1, 2))
         sumsq = (blocks * blocks).sum(axis=(1, 2))
-        sse_unsplit = (sumsq - sums * sums / (size * size)) * norm
-        cost_leaf = sse_unsplit + lam
-        choice = np.full(nsq, -1, dtype=np.int64)
+        unsplit.append((sumsq - sums * sums / (size * size)) * norm)
+        best_split = np.full(nsq, np.inf)
+        split_idx = np.full(nsq, -1, dtype=np.int64)
         if j < J:
             m_j = vertex_budget(j, J, K, m_cap)
             verts = _unit_vertices(m_j)
-            best_split = np.full(nsq, np.inf)
-            split_idx = np.full(nsq, -1, dtype=np.int64)
             for local_idx, v1, v2 in _valid_edgelets(m_j):
                 p1, p2 = verts[v1], verts[v2]
                 frac0 = _cross_sign_fractions(p1, p2, 0.0, 0.0, 1.0 / size,
@@ -443,23 +451,38 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
                 v0 = np.einsum("sij,ij->s", blocks, frac0) * norm
                 v1_ = sums * norm - v0
                 quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1_ + g00 * v1_ * v1_) / det
-                cost = sumsq * norm - quad + 2.0 * lam
-                better = cost < best_split
-                best_split[better] = cost[better]
+                sse = sumsq * norm - quad
+                better = sse < best_split
+                best_split[better] = sse[better]
                 split_idx[better] = local_idx
-            use_split = best_split < cost_leaf  # tie -> unsplit preferred
-            cost_leaf = np.where(use_split, best_split, cost_leaf)
-            choice = np.where(use_split, split_idx, choice)
-        leaf_cost[j] = cost_leaf
-        leaf_choice[j] = choice
-        if j == J:
-            best_cost[j] = cost_leaf.copy()
-        else:
-            child = best_cost[j + 1].reshape(1 << (j + 1), 1 << (j + 1))
-            quad_cost = child.reshape(1 << j, 2, 1 << j, 2).sum(axis=(1, 3)).reshape(-1)
+        split.append(best_split)
+        edge.append(split_idx)
+    return _Scores(J, K, m_cap, tuple(unsplit), tuple(split), tuple(edge))
+
+
+def _prune(scores: _Scores, lam: float) -> EdRdp:
+    """Bottom-up leaf-versus-quad DP over scored squares at penalty lam.
+
+    A leaf costs ``+lam``, an edgelet split ``+2 lam``.  Ties prefer the
+    unsplit leaf over the split, then the leaf over the quad.
+    """
+    J, K, m_cap = scores.J, scores.K, scores.m_cap
+    leaf_choice = [None] * (J + 1)  # -2 quad, -1 unsplit, >= 0 edgelet index
+    best_cost = None
+    for j in range(J, -1, -1):
+        cost_leaf = scores.unsplit[j] + lam
+        cost_split = scores.split[j] + 2.0 * lam
+        use_split = cost_split < cost_leaf  # tie -> unsplit preferred
+        cost_leaf = np.where(use_split, cost_split, cost_leaf)
+        choice = np.where(use_split, scores.edge[j], -1)
+        if j < J:
+            quad_cost = best_cost.reshape(1 << j, 2, 1 << j, 2).sum(axis=(1, 3)).reshape(-1)
             take_leaf = cost_leaf <= quad_cost  # tie -> leaf preferred
-            best_cost[j] = np.where(take_leaf, cost_leaf, quad_cost)
-            leaf_choice[j] = np.where(take_leaf, choice, -2)
+            best_cost = np.where(take_leaf, cost_leaf, quad_cost)
+            choice = np.where(take_leaf, choice, -2)
+        else:
+            best_cost = cost_leaf
+        leaf_choice[j] = choice
 
     leaves = []
 
@@ -478,7 +501,25 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
             leaves.append(EdRdpLeaf(sq, (edge, 1)))
 
     emit(DyadicSquare(0, 0, 0))
-    return EdRdp(tuple(leaves), n, K, m_cap)
+    return EdRdp(tuple(leaves), 1 << J, K, m_cap)
+
+
+def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
+            lam: float = 0.0, supersample: int = CODEC_SUPERSAMPLE) -> EdRdp:
+    """Globally optimal penalized fit over the capped edgelet dictionary.
+
+    Bottom-up dynamic program minimizing squared L2 error plus
+    ``lam * leaf_count``; per square the best edgelet split (both wedge
+    coefficients fitted jointly) competes against staying a leaf and
+    against the quad split.  The edgelet picked for each square is the one
+    with the smallest squared error and does not depend on ``lam``.  Ties
+    prefer smaller edgelet indices, then the unsplit leaf, then the leaf
+    over the quad, so results are reproducible bit for bit.
+    """
+    f = _check_array(f_array, 1 << J)
+    if lam < 0.0:
+        raise RangeError("lambda must be >= 0")
+    return _prune(_score(f, J, K, m_cap, int(supersample)), lam)
 
 
 def fit_cost(f_array, partition: EdRdp, lam: float,
@@ -646,11 +687,14 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     Coefficients are taken against unit-normalized masks, rounded to the
     nearest multiple of eta = n^-2 with ties toward zero.
     """
-    n = 1 << J
-    f = _check_array(f_array, n)
-    partition = fit_rdp(f, J, K, m_cap, lam)
+    f = _check_array(f_array, 1 << J)
+    return _quantize(f, fit_rdp(f, J, K, m_cap, lam))
+
+
+def _quantize(f, partition: EdRdp) -> WedgeCode:
+    """Project ``f`` onto the partition and round its coefficients to eta."""
     proj = project(f, partition)
-    eta = 1.0 / (n * n)
+    eta = 1.0 / (partition.n * partition.n)
     records = []
     for leaf, theta in zip(partition.leaves, proj.thetas):
         if abs(theta) > 1.0 + eta + 1e-12:
@@ -659,7 +703,7 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
         q = _round_half_toward_zero(theta / eta)
         if q != 0:
             records.append((leaf, q))
-    return WedgeCode(J, K, m_cap, tuple(records))
+    return WedgeCode(partition.J, partition.K, partition.m_cap, tuple(records))
 
 
 def _round_half_toward_zero(x: float) -> int:
@@ -693,30 +737,33 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float,
     """Bisection on the split penalty to meet an L2 error target.
 
     A larger penalty means fewer leaves, fewer bits, and more error, so we
-    push the penalty as high as the target allows.  Returns
+    push the penalty as high as the target allows.  The image is scored
+    once; each probe only prunes, projects, quantizes and decodes.  Returns
     (code, error, reached); when the target is unreachable even at zero
     penalty the best-effort code comes back with reached = False.
     """
     n = 1 << J
     f = _check_array(f_array, n)
+    scores = _score(f, J, K, m_cap, CODEC_SUPERSAMPLE)
 
     def attempt(lam):
-        code = encode(f, J, K, m_cap, lam)
+        code = _quantize(f, _prune(scores, lam))
         err = float(np.sqrt(np.mean((decode(code) - f) ** 2)))
         return code, err
 
     code, err = attempt(0.0)
     if err > target_eps:
         return code, err, False
-    best = (code, err)
+    best, best_err, best_bits = code, err, code.bit_length
     lo, hi = 0.0, 1.0
     for _ in range(sweeps):
         mid = (lo + hi) / 2.0
         code, err = attempt(mid)
         if err <= target_eps:
             lo = mid
-            if code.bit_length < best[0].bit_length:
-                best = (code, err)
+            bits = code.bit_length
+            if bits < best_bits:
+                best, best_err, best_bits = code, err, bits
         else:
             hi = mid
-    return best[0], best[1], True
+    return best, best_err, True

@@ -135,3 +135,26 @@ def test_raw_array_helpers(tmp_path):
     path = tmp_path / "x.raw"
     write_raw_array(str(path), arr)
     assert np.array_equal(read_raw_array(str(path)), arr)
+
+
+@pytest.mark.parametrize("cut", [1000, 1001, 5])
+def test_wedge_encode_truncated_raw_exits_1(tmp_path, capsys, cut):
+    raw = tmp_path / "disc.raw"
+    run(["star", "--kind", "disc", "--n", "64", "--out", "raw",
+         "--path", str(raw)])
+    raw.write_bytes(raw.read_bytes()[:cut])
+    rc = run(["wedge", "encode", "--in", str(raw), "--lambda", "0.001",
+              "--out", str(tmp_path / "x.wdgl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("FormatError:")
+
+
+def test_wedge_encode_nan_raw_exits_1(tmp_path, capsys):
+    arr = np.full((16, 16), 0.5)
+    arr[3, 7] = np.nan
+    raw = tmp_path / "nan.raw"
+    write_raw_array(str(raw), arr)
+    rc = run(["wedge", "encode", "--in", str(raw), "--lambda", "0.001",
+              "--out", str(tmp_path / "x.wdgl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("DomainError:")

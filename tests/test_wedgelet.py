@@ -5,6 +5,7 @@ from approxrate.cartoon import disc_star, rasterize
 from approxrate.exceptions import (
     CorruptionError,
     DegenerateWedgeError,
+    DomainError,
     FormatError,
     InputShapeError,
 )
@@ -322,3 +323,63 @@ def test_input_validation():
         Edgelet(UNIT, 3, 1, 8)
     with pytest.raises(InputShapeError):
         DyadicSquare(1, 2, 0)
+
+
+def _reference_encode_to_target(f, J, K, m_cap, target_eps, sweeps=16):
+    """The bisection as 17 public ``encode`` calls, one full fit per probe."""
+    def attempt(lam):
+        code = encode(f, J, K, m_cap, lam)
+        return code, float(np.sqrt(np.mean((decode(code) - f) ** 2)))
+
+    code, err = attempt(0.0)
+    if err > target_eps:
+        return code, err, False
+    best = (code, err)
+    lo, hi = 0.0, 1.0
+    for _ in range(sweeps):
+        mid = (lo + hi) / 2.0
+        code, err = attempt(mid)
+        if err <= target_eps:
+            lo = mid
+            if code.bit_length < best[0].bit_length:
+                best = (code, err)
+        else:
+            hi = mid
+    return best[0], best[1], True
+
+
+def _seeded_petal_vertex(n, seed):
+    from approxrate.cartoon import make_hypercube, vertex_function
+
+    spec = make_hypercube(2.0 ** -4, 2.0, 1.0)
+    xi = np.random.default_rng(seed).integers(0, 2, spec.m)
+    return rasterize(vertex_function(spec, xi), n, 4)
+
+
+@pytest.mark.parametrize("image, J, eps", [
+    ("disc", 6, 0.05),
+    ("petals", 5, 0.05),
+    ("disc", 5, 1e-9),  # unreachable: the lambda = 0 code comes back
+])
+def test_encode_to_target_matches_reference_bisection(image, J, eps):
+    n = 1 << J
+    f = (rasterize(disc_star(0.25), n, 4) if image == "disc"
+         else _seeded_petal_vertex(n, 3))
+    code, err, reached = encode_to_target(f, J, J, 32, eps)
+    ref_code, ref_err, ref_reached = _reference_encode_to_target(f, J, J, 32, eps)
+    assert code.to_bytes() == ref_code.to_bytes()
+    assert err == ref_err
+    assert reached is ref_reached
+    assert reached is (eps == 0.05)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_refused(bad):
+    f = np.full((8, 8), 0.5)
+    f[2, 5] = bad
+    with pytest.raises(DomainError):
+        encode(f, 3, 3, 8, lam=0.0)
+    with pytest.raises(DomainError):
+        encode_to_target(f, 3, 3, 8, 0.05)
+    with pytest.raises(DomainError):
+        fit_rdp(f, 3, 3, 8, 0.0)
