@@ -76,8 +76,6 @@ def write_pgm(path: str, arr: np.ndarray):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="seed for sampled grids")
-    p.add_argument("--threads", type=int, default=1,
-                   help="advisory; modules vectorize internally")
     p.add_argument("--manifest", default=None,
                    help="write a JSON record of this invocation")
 

@@ -183,7 +183,7 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(int(restarts)):
-        current = np.full(len(words), np.int64(m))
+        current = np.full(len(words), m, dtype=np.uint8)
         for slot in range(size):
             pool = words if len(words) <= pool_cap else \
                 rng.choice(words, size=pool_cap, replace=False)
@@ -192,8 +192,10 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
             if slot == 0 and len(words) > pool_cap:
                 pool = rng.choice(words, size=1)
             cand = _popcount_matrix(sample, pool.astype(np.uint32))
-            scores = np.minimum(cand, current[sample][:, None]).mean(axis=0)
-            pick = int(pool[int(np.argmin(scores))])
+            np.minimum(cand, current[sample][:, None], out=cand)
+            # integer sums rank candidates as the means would: exact, and
+            # the sample size is the same for every candidate
+            pick = int(pool[int(np.argmin(cand.sum(axis=0, dtype=np.int64)))])
             current = np.minimum(
                 current, np.bitwise_count(np.bitwise_xor(words, np.uint32(pick))))
         best = min(best, float(current.mean()))

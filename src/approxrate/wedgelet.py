@@ -517,6 +517,8 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     over the quad, so results are reproducible bit for bit.
     """
     f = _check_array(f_array, 1 << J)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam < 0.0:
         raise RangeError("lambda must be >= 0")
     return _prune(_score(f, J, K, m_cap, int(supersample)), lam)
@@ -744,6 +746,9 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float,
     """
     n = 1 << J
     f = _check_array(f_array, n)
+    # NaN would slip through both comparisons with err below
+    if not math.isfinite(target_eps):
+        raise DomainError(f"target eps must be finite, got {target_eps!r}")
     scores = _score(f, J, K, m_cap, CODEC_SUPERSAMPLE)
 
     def attempt(lam):

@@ -158,3 +158,17 @@ def test_wedge_encode_nan_raw_exits_1(tmp_path, capsys):
               "--out", str(tmp_path / "x.wdgl")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("DomainError:")
+
+
+@pytest.mark.parametrize("flag", ["--target-eps", "--lambda"])
+def test_wedge_encode_nan_knob_exits_1(tmp_path, capsys, flag):
+    raw = tmp_path / "flat.raw"
+    write_raw_array(str(raw), np.full((16, 16), 0.5))
+    rc = run(["wedge", "encode", "--in", str(raw), flag, "nan",
+              "--out", str(tmp_path / "x.wdgl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("DomainError:")
+
+
+def test_threads_flag_is_gone():
+    assert run(["bspline", "--m", "3", "--samples", "4", "--threads", "2"]) == 2

@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxrate.constructors import build_bspline_net, build_p1, build_relu
-from approxrate.exceptions import QuantizerError
-from approxrate.nnet import AffineStep, Network, connectivity, evaluate_batch, relu_power
+from approxrate.constructors import build_bspline_net, build_p1, build_power, build_relu
+from approxrate.exceptions import QuantizerError, SearchExhaustedError
+from approxrate.nnet import (
+    AffineStep,
+    Network,
+    connectivity,
+    evaluate_batch,
+    logistic_power,
+    relu_power,
+)
 from approxrate.quantizer import (
+    _SCREEN_STRIDE,
+    _quantization_grid,
     bits_per_weight,
     find_min_m,
     quantize_value,
@@ -129,3 +138,72 @@ def test_error_shrinks_with_m():
 def test_weight_range_exponent():
     assert weight_range_exponent(chain([1.0, 1.0]), 0.1) == 1
     assert weight_range_exponent(chain([99.0, 1.0]), 0.1) == 2
+
+
+def full_grid_errors(net, eta, k, D, m_cap=64):
+    """Plain search: quantize, then the sup error on the whole grid, m = 1, 2, ...
+
+    Returns the smallest m within eta (None if there is none) and, per m
+    tried, the sup error on the screened columns and on the whole grid.
+    """
+    xs = _quantization_grid(net.input_dim, D, 10_000)
+    ref = evaluate_batch(net, xs)
+    errs = []
+    for m in range(1, m_cap + 1):
+        diff = np.abs(evaluate_batch(quantize_weights(net, eta, k, m), xs) - ref)
+        errs.append((float(np.max(diff[:, ::_SCREEN_STRIDE])), float(np.max(diff))))
+        if errs[-1][1] <= eta:
+            return m, errs
+    return None, errs
+
+
+def narrow_hat(x0, width, height):
+    """relu hat of the given height and half-width centred on x0."""
+    s = 1.0 / width
+    first = AffineStep(1, 3, ((0, 0, s), (1, 0, s), (2, 0, s)),
+                       ((0, 1.0 - s * x0), (1, -s * x0), (2, -1.0 - s * x0)))
+    second = AffineStep(3, 1, ((0, 0, height), (0, 1, -2.0 * height), (0, 2, height)))
+    return Network((first, second), relu_power(1))
+
+
+def dense_d2_net():
+    rng = np.random.default_rng(1)
+    return Network((AffineStep.from_dense(rng.uniform(-3, 3, (4, 2)), rng.uniform(-1, 1, 4)),
+                    AffineStep.from_dense(rng.uniform(-3, 3, (1, 4)))), relu_power(2))
+
+
+SCREEN_CASES = {
+    "bspline": lambda: (build_bspline_net(3, 0.05, 4.0, relu_power(2)).network, 0.05, 4.0),
+    "p1": lambda: (build_p1(0.05, 3.0, relu_power(3)).network, 0.01, 3.0),
+    "logistic": lambda: (build_power(1, 0.1, 1.0, logistic_power(2)).network, 0.05, 1.0),
+    "d2": lambda: (dense_d2_net(), 0.01, 1.0),
+    # the hat sits on a grid point halfway between two screened ones
+    "hat": lambda: (narrow_hat(_quantization_grid(1, 1.0, 10_000)[0, _SCREEN_STRIDE // 2],
+                               1e-4, 300.0), 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_find_min_m_matches_full_grid_search(name):
+    net, eta, D = SCREEN_CASES[name]()
+    k = weight_range_exponent(net, eta)
+    m, errs = full_grid_errors(net, eta, k, D)
+    assert m is not None
+    assert find_min_m(net, eta, k, D) == m
+    if name == "hat":
+        # some m passes the screen yet fails the whole grid
+        assert any(screen <= eta < full for screen, full in errs)
+
+
+def test_find_min_m_exhausted_like_full_grid_search():
+    net, eta, D = SCREEN_CASES["bspline"]()
+    k = weight_range_exponent(net, eta)
+    m, _ = full_grid_errors(net, eta, k, D, m_cap=3)
+    assert m is None
+    with pytest.raises(SearchExhaustedError):
+        find_min_m(net, eta, k, D, m_cap=3)
+
+
+def test_find_min_m_empty_grid_refused():
+    with pytest.raises(QuantizerError):
+        find_min_m(chain([1.0, 1.0]), 0.1, 1, 1.0, grid=0)

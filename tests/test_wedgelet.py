@@ -383,3 +383,14 @@ def test_non_finite_input_refused(bad):
         encode_to_target(f, 3, 3, 8, 0.05)
     with pytest.raises(DomainError):
         fit_rdp(f, 3, 3, 8, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_penalty_and_target_refused(bad):
+    f = np.full((8, 8), 0.5)
+    with pytest.raises(DomainError):
+        fit_rdp(f, 3, 3, 8, bad)
+    with pytest.raises(DomainError):
+        encode(f, 3, 3, 8, lam=bad)
+    with pytest.raises(DomainError):
+        encode_to_target(f, 3, 3, 8, bad)
