@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, FormatError, InputShapeError, RangeError
+from .wedgelet import _sample_offsets
 
 __all__ = [
     "RadiusFunction",
@@ -328,10 +329,6 @@ def star_membership(f: StarFunction, grid: int = 4096) -> MembershipReport:
     seminorm = holder_seminorm(f.radius, f.beta)
     return MembershipReport(float(np.min(rho)), float(np.max(rho)),
                             contained, seminorm, f.holder_C)
-
-
-def _sample_offsets(s: int):
-    return (np.arange(s) + 0.5) / s
 
 
 def _window_average(f: StarFunction, n: int, s: int, row0, row1, col0, col1,

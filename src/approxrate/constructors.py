@@ -75,11 +75,6 @@ class BuildReport:
         raise KeyError(name)
 
 
-def _require_constants(spec: ActivationSpec):
-    if not spec.has_constants:
-        raise BuilderError("builders need an activation with declared (C, a, b)")
-
-
 def _chain_net(weights, spec):
     """Single chain x -> w1 x -> rho -> w2 . -> rho ... -> wn ."""
     steps = tuple(AffineStep(1, 1, ((0, 0, w),)) for w in weights)
@@ -142,7 +137,6 @@ def _scaled_chain(L, eps, D, spec):
 
 def build_p1(eps, D, spec: ActivationSpec) -> BuildReport:
     """Two-weight net matching x_+^k on [-D, D] within eps."""
-    _require_constants(spec)
     _check_eps(eps)
     D_eff = max(float(D), 1.0)
     eps_unit = eps * D_eff ** (-spec.k)
@@ -154,7 +148,6 @@ def build_p1(eps, D, spec: ActivationSpec) -> BuildReport:
 
 def build_plus_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-(L+1) chain matching x_+^(k^L) on [-D, D] within eps."""
-    _require_constants(spec)
     _check_eps(eps)
     if L < 1:
         raise BuilderError("L must be >= 1")
@@ -179,7 +172,6 @@ def _power_net(L, eps, D, spec, one_sided=False):
 
 def build_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Mirrored pair matching x^(k^L) on [-D, D] within eps."""
-    _require_constants(spec)
     _check_eps(eps)
     if L < 1:
         raise BuilderError("L must be >= 1")
@@ -299,7 +291,6 @@ def _relu_parts(eps, D, spec, n_override=None):
 
 def build_relu(eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-2 net matching x_+ on [-D, D] within eps."""
-    _require_constants(spec)
     _check_eps(eps)
     D_eff = max(float(D), 1.0)
     subnet, coeffs, shifts, consts = _relu_parts(eps, D_eff, spec)
@@ -378,7 +369,6 @@ def _knot_interpolant(values_at, knots, spec) -> Network:
 
 def build_plus_monomial(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     """Net matching x_+^(m-1) on [-D, D] within eps (sup norm)."""
-    _require_constants(spec)
     _check_eps(eps)
     if m < 2:
         raise BuilderError("m must be >= 2")
@@ -451,7 +441,6 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     every stored breakpoint weight is an exact dyadic number (the sums
     involved cancel around N^(k-1) and tolerate no weight jitter).
     """
-    _require_constants(spec)
     _check_eps(eps)
     if m < 2:
         raise BuilderError("m must be >= 2")
@@ -491,7 +480,6 @@ def transfer_expansion(terms, eps, D, spec: ActivationSpec) -> BuildReport:
     Each term gets the budget eps / max(1, 2 * sum |coeff|); terms are
     built at a common depth then combined affinely.
     """
-    _require_constants(spec)
     _check_eps(eps)
     terms = [(float(c), int(m)) for c, m in terms]
     if not terms:

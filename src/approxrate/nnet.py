@@ -132,7 +132,7 @@ class AffineStep:
         return len(self.edge_weights) + len(self.node_weights)
 
 
-_KINDS = ("relu_power", "logistic_power", "tabulated")
+_KINDS = ("relu_power", "logistic_power")
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ class ActivationSpec:
 
     ``constants = (C, a, b)`` quantify the decay of rho(x)/x^k toward 0
     and 1 and bound |rho| and |rho'|; they are verified numerically, not
-    proved.  The ``tabulated`` kind interpolates a sample table and is for
-    experiments only -- constructors refuse it because no constants are
-    declared for it.
+    proved.
     """
 
     kind: str
@@ -151,30 +149,20 @@ class ActivationSpec:
     C: float = 1.0
     a: float = 1.0
     b: float = 1.0
-    table: tuple = ()  # ((x, value), ...) for kind == "tabulated"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise FormatError(f"unknown activation kind {self.kind!r}")
         if self.k < 1:
             raise FormatError("sigmoidal order k must be >= 1")
-        if self.kind != "tabulated" and not (self.C > 0 and self.a > 0 and self.b > 0):
+        if not (self.C > 0 and self.a > 0 and self.b > 0):
             raise FormatError("constants (C, a, b) must be positive")
-        if self.kind == "tabulated" and len(self.table) < 2:
-            raise FormatError("tabulated activation needs at least two samples")
-
-    @property
-    def has_constants(self):
-        return self.kind != "tabulated"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "relu_power":
             return np.maximum(x, 0.0) ** self.k
-        if self.kind == "logistic_power":
-            return x ** self.k * _sigmoid(x)
-        xs, ys = self._table_arrays()
-        return np.interp(x, xs, ys)
+        return x ** self.k * _sigmoid(x)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -182,16 +170,8 @@ class ActivationSpec:
             if self.k == 1:
                 return (x > 0).astype(float)
             return self.k * np.maximum(x, 0.0) ** (self.k - 1)
-        if self.kind == "logistic_power":
-            s = _sigmoid(x)
-            return self.k * x ** (self.k - 1) * s + x ** self.k * s * (1.0 - s)
-        h = 1e-6
-        return (self(x + h) - self(x - h)) / (2.0 * h)
-
-    def _table_arrays(self):
-        xs = np.array([p[0] for p in self.table])
-        ys = np.array([p[1] for p in self.table])
-        return xs, ys
+        s = _sigmoid(x)
+        return self.k * x ** (self.k - 1) * s + x ** self.k * s * (1.0 - s)
 
 
 def _sigmoid(x):
@@ -562,8 +542,6 @@ def network_to_json(net: Network) -> str:
             for s in net.steps
         ],
     }
-    if act.kind == "tabulated":
-        doc["activation"]["table"] = [list(p) for p in act.table]
     return json.dumps(doc, indent=1)
 
 
@@ -576,8 +554,7 @@ def network_from_json(text: str) -> Network:
     try:
         a = doc["activation"]
         spec = ActivationSpec(a["kind"], int(a["k"]), float(a.get("C", 1.0)),
-                              float(a.get("a", 1.0)), float(a.get("b", 1.0)),
-                              tuple(tuple(p) for p in a.get("table", ())))
+                              float(a.get("a", 1.0)), float(a.get("b", 1.0)))
         steps = tuple(
             AffineStep(int(s["in"]), int(s["out"]),
                        tuple((int(r), int(c), float(v)) for r, c, v in s["edges"]),

@@ -95,7 +95,6 @@ class RateReport:
     fitted_slope: float
     intercept: float
     r_squared: float
-    slope_ci: tuple = (float("nan"), float("nan"))
 
     @property
     def sizes(self):
@@ -106,12 +105,8 @@ class RateReport:
         return [e for _, e in self.samples]
 
 
-def fit_rate(samples, bootstrap: int = 200, seed: int = 0) -> RateReport:
-    """OLS on (log size, log error) with a bootstrap slope interval.
-
-    The interval is informational; acceptance decisions use the point
-    estimate only.
-    """
+def fit_rate(samples) -> RateReport:
+    """OLS on (log size, log error): the fitted slope and its R^2."""
     samples = [(float(s), float(e)) for s, e in samples]
     if len(samples) < 3:
         raise DomainError("need at least 3 samples to fit a rate")
@@ -126,16 +121,7 @@ def fit_rate(samples, bootstrap: int = 200, seed: int = 0) -> RateReport:
     resid = ly - (slope * lx + intercept)
     total = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / total if total > 0 else 1.0
-    rng = np.random.default_rng(seed)
-    slopes = []
-    for _ in range(int(bootstrap)):
-        idx = rng.integers(0, len(samples), len(samples))
-        if len(set(lx[idx])) < 2:
-            continue
-        slopes.append(np.polyfit(lx[idx], ly[idx], 1)[0])
-    ci = (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))) \
-        if slopes else (float("nan"), float("nan"))
-    return RateReport(tuple(samples), float(slope), float(intercept), r2, ci)
+    return RateReport(tuple(samples), float(slope), float(intercept), r2)
 
 
 def _popcount_matrix(words, codebook):

@@ -3,12 +3,14 @@
 Arrays are n x n pixel averages on [0,1]^2 (row i is the y-band
 [i/n, (i+1)/n)).  A partition leaf is a dyadic square or one side of an
 edgelet-split square; masks are per-pixel inside fractions computed from a
-deterministic s^2 stratified sampler, with s fixed to 4 inside the codec
-so streams decode without extra context.
+deterministic 4 x 4 stratified sampler, so streams decode without extra
+context.
 
-All geometry (squares, boundary vertices, samples) is dyadic-rational and
-therefore exact in binary floating point; side membership never depends on
-rounding.
+A split mask is drawn in the unit square's coordinates and depends only on
+the scale, M_j and the edgelet, never on where its square sits, so the
+fit, the projection and the decoder all see the same mask.  When M_cap is a
+power of two the vertices and samples are dyadic and every side test is
+exact; otherwise the vertices are rounded, but the same way everywhere.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ DEFAULT_M_CAP = 32
 CODEC_SUPERSAMPLE = 4
 WEDGE_FORMAT_VERSION = 1
 _MAGIC = b"WDGL"
+_SWEEPS = 16  # bisection steps of encode_to_target
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,6 @@ class Edgelet:
         v1 = idx - v2 * (v2 - 1) // 2
         return cls(square, v1, v2, m_count)
 
-    def endpoints(self):
-        spacing = 4.0 * self.square.side / self.m_count
-        return (_perimeter_point(self.square, self.v1 * spacing),
-                _perimeter_point(self.square, self.v2 * spacing))
-
 
 @dataclass(frozen=True)
 class EdRdpLeaf:
@@ -234,41 +232,69 @@ def _sample_offsets(s: int):
     return (np.arange(s) + 0.5) / s
 
 
-def _cross_sign_fractions(p1, p2, x0, y0, px, rows, cols, s):
-    """Side-0 sample fraction per pixel of a block; exact via affinity.
+_UNIT_SQUARE = DyadicSquare(0, 0, 0)
 
-    p1, p2 are absolute endpoints; pixels are px wide starting at (x0, y0);
-    rows/cols index the block.  Side 0 is the counter-clockwise (left)
-    side of p1 -> p2, with on-line samples assigned to side 1.
+
+def _side0_fractions(m_j: int, v1: int, v2: int, size: int):
+    """Side-0 inside fraction per pixel of a size x size split square.
+
+    The edgelet joins vertices v1 and v2 of the m_j vertices on the unit
+    square's perimeter, and the block's pixels are 1/size wide, so the
+    mask is the same for every square of a scale.  Side 0 is the
+    counter-clockwise (left) side of v1 -> v2, with on-line samples
+    assigned to side 1.  Pixels the line misses are whole; only the
+    straddled ones are sampled.
     """
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+    spacing = 4.0 / m_j
+    x1, y1 = _perimeter_point(_UNIT_SQUARE, v1 * spacing)
+    x2, y2 = _perimeter_point(_UNIT_SQUARE, v2 * spacing)
+    dx, dy = x2 - x1, y2 - y1
 
     def cross(x, y):
-        return dx * (y - p1[1]) - dy * (x - p1[0])
+        return dx * (y - y1) - dy * (x - x1)
 
-    xs = x0 + np.arange(cols + 1) * px
-    ys = y0 + np.arange(rows + 1) * px
-    corner = cross(xs[None, :], ys[:, None])  # (rows+1, cols+1)
+    px = 1.0 / size
+    grid = np.arange(size + 1) * px
+    corner = cross(grid[None, :], grid[:, None])  # (size+1, size+1)
     c00 = corner[:-1, :-1]
     c01 = corner[:-1, 1:]
     c10 = corner[1:, :-1]
     c11 = corner[1:, 1:]
     cmin = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     cmax = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    frac = np.zeros((rows, cols))
+    frac = np.zeros((size, size))
     frac[cmin > 0.0] = 1.0
     straddle = (cmin <= 0.0) & (cmax > 0.0)
     rr, cc = np.nonzero(straddle)
     if rr.size:
+        s = CODEC_SUPERSAMPLE
         off = _sample_offsets(s) * px
-        sx = x0 + cc[:, None, None] * px + off[None, None, :]
-        sy = y0 + rr[:, None, None] * px + off[None, :, None]
+        sx = cc[:, None, None] * px + off[None, None, :]
+        sy = rr[:, None, None] * px + off[None, :, None]
         inside = cross(sx, sy) > 0.0
         frac[rr, cc] = inside.sum(axis=(1, 2)) / (s * s)
     return frac
 
 
-def _leaf_block(leaf: EdRdpLeaf, n: int, s: int):
+def _pair_gram(frac0, norm: float):
+    """(g00, g01, g11, det) of the masks frac0 and 1 - frac0, or None.
+
+    None marks a pair whose 2x2 normal equations cannot be solved: a side
+    with no samples, or masks too close to parallel.  Each sum is a
+    multiple of 2^-8 below 2^17, hence exact in any summation order.
+    """
+    sum0 = float(np.sum(frac0))
+    g00 = float(np.sum(frac0 * frac0))
+    g01 = (sum0 - g00) * norm
+    g11 = (frac0.size - 2.0 * sum0 + g00) * norm
+    g00 *= norm
+    det = g00 * g11 - g01 * g01
+    if g00 <= 0.0 or g11 <= 0.0 or det <= 1e-30:
+        return None
+    return g00, g01, g11, det
+
+
+def _leaf_block(leaf: EdRdpLeaf, n: int):
     """(block array, row0, col0) for the leaf's pixel window."""
     sq = leaf.square
     if (n & (n - 1)) != 0:
@@ -284,15 +310,14 @@ def _leaf_block(leaf: EdRdpLeaf, n: int, s: int):
     if _is_degenerate(edge.v1, edge.v2, edge.m_count):
         raise DegenerateWedgeError(
             f"edgelet ({edge.v1},{edge.v2}) runs along the square boundary")
-    p1, p2 = edge.endpoints()
-    frac0 = _cross_sign_fractions(p1, p2, sq.x0, sq.y0, 1.0 / n, size, size, s)
+    frac0 = _side0_fractions(edge.m_count, edge.v1, edge.v2, size)
     block = frac0 if side == 0 else 1.0 - frac0
     return block, row0, col0
 
 
-def wedge_mask(leaf: EdRdpLeaf, n: int, supersample: int = CODEC_SUPERSAMPLE):
+def wedge_mask(leaf: EdRdpLeaf, n: int):
     """Per-pixel average of the leaf's indicator as a full n x n array."""
-    block, row0, col0 = _leaf_block(leaf, n, int(supersample))
+    block, row0, col0 = _leaf_block(leaf, n)
     out = np.zeros((n, n))
     out[row0:row0 + block.shape[0], col0:col0 + block.shape[1]] = block
     return out
@@ -320,7 +345,7 @@ def _group_leaves(leaves):
     return [groups[key] for key in order]
 
 
-def project(f_array, partition: EdRdp, supersample: int = CODEC_SUPERSAMPLE):
+def project(f_array, partition: EdRdp):
     """Exact least-squares projection of ``f_array`` onto the leaf masks.
 
     Masks of distinct squares have disjoint pixel support; the two sides
@@ -331,42 +356,43 @@ def project(f_array, partition: EdRdp, supersample: int = CODEC_SUPERSAMPLE):
     n = partition.n
     norm = 1.0 / (n * n)
     recon = np.zeros_like(f)
-    coefs = [0.0] * len(partition.leaves)
-    thetas = [0.0] * len(partition.leaves)
-    blocks = [_leaf_block(leaf, n, supersample) for leaf in partition.leaves]
-    for group in _group_leaves(partition.leaves):
+    leaves = partition.leaves
+    coefs = [0.0] * len(leaves)
+    thetas = [0.0] * len(leaves)
+    for group in _group_leaves(leaves):
+        if len(group) > 2:
+            raise FormatError("more than two wedgelets share a square")
+        blk, r0, c0 = _leaf_block(leaves[group[0]], n)
+        window = f[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]]
         if len(group) == 1:
             idx = group[0]
-            blk, r0, c0 = blocks[idx]
             g = float(np.sum(blk * blk)) * norm
             if g <= 0.0:
                 raise DegenerateWedgeError("zero-norm mask in partition")
-            v = float(np.sum(f[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] * blk)) * norm
+            v = float(np.sum(window * blk)) * norm
             coefs[idx] = v / g
             thetas[idx] = v / math.sqrt(g)
             recon[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] += coefs[idx] * blk
-        elif len(group) == 2:
+        else:
             i0, i1 = group
-            b0, r0, c0 = blocks[i0]
-            b1, _, _ = blocks[i1]
-            window = f[r0:r0 + b0.shape[0], c0:c0 + b0.shape[1]]
-            g00 = float(np.sum(b0 * b0)) * norm
-            g11 = float(np.sum(b1 * b1)) * norm
-            g01 = float(np.sum(b0 * b1)) * norm
+            l0, l1 = leaves[i0], leaves[i1]
+            if l0.split is None or l1.split is None \
+                    or l0.edgelet != l1.edgelet or l0.side == l1.side:
+                raise FormatError("a split square needs both sides of one edgelet")
+            b0, b1 = blk, 1.0 - blk
+            gram = _pair_gram(b0, norm)
+            if gram is None:
+                raise DegenerateWedgeError("degenerate wedge pair in partition")
+            g00, g01, g11, det = gram
             v0 = float(np.sum(window * b0)) * norm
             v1 = float(np.sum(window * b1)) * norm
-            det = g00 * g11 - g01 * g01
-            if g00 <= 0.0 or g11 <= 0.0 or det <= 1e-30:
-                raise DegenerateWedgeError("degenerate wedge pair in partition")
             a0 = (g11 * v0 - g01 * v1) / det
             a1 = (g00 * v1 - g01 * v0) / det
             coefs[i0], coefs[i1] = a0, a1
             thetas[i0] = a0 * math.sqrt(g00)
             thetas[i1] = a1 * math.sqrt(g11)
             recon[r0:r0 + b0.shape[0], c0:c0 + b0.shape[1]] += a0 * b0 + a1 * b1
-        else:
-            raise FormatError("more than two wedgelets share a square")
-    return Projection(partition.leaves, tuple(coefs), tuple(thetas), recon)
+    return Projection(leaves, tuple(coefs), tuple(thetas), recon)
 
 
 def _check_array(f_array, n):
@@ -388,13 +414,6 @@ def _valid_edgelets(m_j: int):
     return out
 
 
-def _unit_vertices(m_j: int):
-    """Vertex positions on the unit square (templates are scale-free)."""
-    sq = DyadicSquare(0, 0, 0)
-    spacing = 4.0 / m_j
-    return [_perimeter_point(sq, i * spacing) for i in range(m_j)]
-
-
 @dataclass(frozen=True)
 class _Scores:
     """Penalty-free costs of every square of one image, indexed by scale j.
@@ -414,7 +433,7 @@ class _Scores:
     edge: tuple
 
 
-def _score(f, J: int, K: int, m_cap: int, s: int) -> _Scores:
+def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     """Rasterize the edgelet dictionary once and score it on every square.
 
     Per square the edgelet with the smallest two-wedge squared error wins;
@@ -436,18 +455,12 @@ def _score(f, J: int, K: int, m_cap: int, s: int) -> _Scores:
         split_idx = np.full(nsq, -1, dtype=np.int64)
         if j < J:
             m_j = vertex_budget(j, J, K, m_cap)
-            verts = _unit_vertices(m_j)
             for local_idx, v1, v2 in _valid_edgelets(m_j):
-                p1, p2 = verts[v1], verts[v2]
-                frac0 = _cross_sign_fractions(p1, p2, 0.0, 0.0, 1.0 / size,
-                                              size, size, s)
-                g00 = float(np.sum(frac0 * frac0)) * norm
-                sum0 = float(np.sum(frac0))
-                g01 = float(np.sum(frac0 * (1.0 - frac0))) * norm
-                g11 = (size * size - 2.0 * sum0) * norm + g00
-                det = g00 * g11 - g01 * g01
-                if g00 <= 0.0 or g11 <= 0.0 or det <= 1e-30:
+                frac0 = _side0_fractions(m_j, v1, v2, size)
+                gram = _pair_gram(frac0, norm)
+                if gram is None:
                     continue
+                g00, g01, g11, det = gram
                 v0 = np.einsum("sij,ij->s", blocks, frac0) * norm
                 v1_ = sums * norm - v0
                 quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1_ + g00 * v1_ * v1_) / det
@@ -505,7 +518,7 @@ def _prune(scores: _Scores, lam: float) -> EdRdp:
 
 
 def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
-            lam: float = 0.0, supersample: int = CODEC_SUPERSAMPLE) -> EdRdp:
+            lam: float = 0.0) -> EdRdp:
     """Globally optimal penalized fit over the capped edgelet dictionary.
 
     Bottom-up dynamic program minimizing squared L2 error plus
@@ -521,14 +534,13 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
         raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam < 0.0:
         raise RangeError("lambda must be >= 0")
-    return _prune(_score(f, J, K, m_cap, int(supersample)), lam)
+    return _prune(_score(f, J, K, m_cap), lam)
 
 
-def fit_cost(f_array, partition: EdRdp, lam: float,
-             supersample: int = CODEC_SUPERSAMPLE) -> float:
+def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
     """Penalized cost of a given partition (for cross-checking the DP)."""
     f = _check_array(f_array, partition.n)
-    proj = project(f, partition, supersample)
+    proj = project(f, partition)
     norm = 1.0 / (partition.n ** 2)
     sse = float(np.sum((f - proj.reconstruction) ** 2)) * norm
     return sse + lam * len(partition.leaves)
@@ -679,6 +691,11 @@ class WedgeCode:
                 leaf = EdRdpLeaf(sq, None)
             q = r.read(cbits) - offset
             records.append((leaf, q))
+        if len(data) - 13 != (r.pos + 7) >> 3:
+            raise CorruptionError("bytes after the last record")
+        used = r.pos & 7
+        if used and data[-1] & (0xFF >> used):
+            raise CorruptionError("non-zero padding bits")
         return cls(J, K, m_cap, tuple(records))
 
 
@@ -721,10 +738,14 @@ def decode(code: WedgeCode) -> np.ndarray:
     covered = np.zeros((n, n), dtype=np.int32)
     norm = 1.0 / (n * n)
     for leaf, q in code.records:
-        block, r0, c0 = _leaf_block(leaf, n, CODEC_SUPERSAMPLE)
-        nsq = float(np.sum(block * block)) * norm
-        if nsq <= 0.0:
-            raise DegenerateWedgeError("zero-norm mask in stream")
+        block, r0, c0 = _leaf_block(leaf, n)
+        if leaf.split is None:
+            nsq = block.size * norm
+        else:
+            gram = _pair_gram(block, norm)
+            if gram is None:
+                raise DegenerateWedgeError("degenerate wedge pair in stream")
+            nsq = gram[0]
         theta = q * code.eta
         out[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += \
             theta / math.sqrt(nsq) * block
@@ -734,8 +755,7 @@ def decode(code: WedgeCode) -> np.ndarray:
     return out
 
 
-def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float,
-                     sweeps: int = 16):
+def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     """Bisection on the split penalty to meet an L2 error target.
 
     A larger penalty means fewer leaves, fewer bits, and more error, so we
@@ -749,7 +769,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float,
     # NaN would slip through both comparisons with err below
     if not math.isfinite(target_eps):
         raise DomainError(f"target eps must be finite, got {target_eps!r}")
-    scores = _score(f, J, K, m_cap, CODEC_SUPERSAMPLE)
+    scores = _score(f, J, K, m_cap)
 
     def attempt(lam):
         code = _quantize(f, _prune(scores, lam))
@@ -761,7 +781,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float,
         return code, err, False
     best, best_err, best_bits = code, err, code.bit_length
     lo, hi = 0.0, 1.0
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         mid = (lo + hi) / 2.0
         code, err = attempt(mid)
         if err <= target_eps:

@@ -18,7 +18,6 @@ from approxrate.constructors import (
 )
 from approxrate.exceptions import BuilderError, ConditioningError
 from approxrate.nnet import (
-    ActivationSpec,
     connectivity,
     evaluate,
     logistic_power,
@@ -155,13 +154,6 @@ def test_build_power_logistic_even_exact():
     # sigma(y) + sigma(-y) == 1 makes the mirrored pair exact for even k^L
     rep = build_power(1, 0.1, 1.0, logistic_power(2))
     assert sup_error_on_grid(rep.network, lambda x: x * x, -1, 1) <= 1e-12
-
-
-def test_build_p1_requires_constants():
-    table = tuple((float(x), float(max(x, 0.0))) for x in np.linspace(-9, 9, 99))
-    tab = ActivationSpec("tabulated", 1, table=table)
-    with pytest.raises(BuilderError):
-        build_p1(0.1, 1.0, tab)
 
 
 def test_build_plus_power():

@@ -23,15 +23,18 @@ A change to ``build_bspline_net``, the quantizer or the m that ``find_min_m``
 picks fails here.
 """
 
+import math
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
 from approxrate.constructors import build_bspline_net
+from approxrate.exceptions import CorruptionError
 from approxrate.nnet import network_to_json, relu_power
 from approxrate.quantizer import find_min_m, quantize_weights, weight_range_exponent
-from approxrate.wedgelet import encode, encode_to_target
+from approxrate.wedgelet import WedgeCode, encode, encode_to_target, vertex_budget
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N, J = 64, 6
@@ -68,3 +71,42 @@ def test_bspline_net_matches_golden_json(m, k):
         kq = weight_range_exponent(net, eta)
         qnet = quantize_weights(net, eta, kq, find_min_m(net, eta, kq, 4.0))
         assert network_to_json(qnet) == (GOLDEN / f"{stem}_eta{eta}.json").read_text()
+
+
+STREAMS = sorted(p.name for p in GOLDEN.glob("*.wdgl"))
+
+
+def _record_bits(code):
+    """Bits the records take, from the layout in the WedgeCode docstring."""
+    sbits = math.ceil(math.log2(code.J + 1))
+    cbits = math.ceil(math.log2(2 * code.n ** 2 + 3))
+    total = 0
+    for leaf, _ in code.records:
+        j = leaf.square.j
+        total += sbits + 2 * j + 1 + cbits
+        if leaf.split is not None:
+            pairs = comb(vertex_budget(j, code.J, code.K, code.m_cap), 2)
+            total += math.ceil(math.log2(pairs)) + 1
+    return total
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_from_bytes_refuses_bytes_after_the_padding(name):
+    data = (GOLDEN / name).read_bytes()
+    assert WedgeCode.from_bytes(data).to_bytes() == data
+    for tail in (b"\x00", b"\xff\xff"):
+        with pytest.raises(CorruptionError):
+            WedgeCode.from_bytes(data + tail)
+
+
+def test_from_bytes_refuses_nonzero_padding():
+    flipped = 0
+    for name in STREAMS:
+        data = (GOLDEN / name).read_bytes()
+        pad = 8 * (len(data) - 13) - _record_bits(WedgeCode.from_bytes(data))
+        assert 0 <= pad < 8
+        for bit in range(pad):
+            with pytest.raises(CorruptionError):
+                WedgeCode.from_bytes(data[:-1] + bytes([data[-1] | 1 << bit]))
+            flipped += 1
+    assert flipped == 4  # only disc64_lam.wdgl ends inside a byte

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,11 +257,18 @@ def test_activation_spec_validation():
     with pytest.raises(FormatError):
         ActivationSpec("relu_power", 1, C=-1.0)
     with pytest.raises(FormatError):
-        ActivationSpec("tabulated", 1, table=((0.0, 0.0),))
+        ActivationSpec("tabulated", 1)
 
 
-def test_tabulated_activation_interpolates():
+def test_logistic_power_mirrored_pair_is_square():
+    # sigma(x) + sigma(-x) == 1, so rho(x) + rho(-x) == x^2 for k = 2
+    spec = logistic_power(2)
     xs = np.linspace(-5, 5, 201)
-    table = tuple((float(x), float(max(x, 0.0))) for x in xs)
-    spec = ActivationSpec("tabulated", 1, table=table)
-    assert spec(np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(spec(xs) + spec(-xs), xs * xs, rtol=0.0, atol=1e-12)
+
+
+def test_json_loader_refuses_tabulated_activation():
+    doc = json.loads(network_to_json(chain([1.0, 2.0], relu_power(1))))
+    doc["activation"].update(kind="tabulated", table=[[-1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(FormatError):
+        network_from_json(json.dumps(doc))

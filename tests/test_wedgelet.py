@@ -24,6 +24,7 @@ from approxrate.wedgelet import (
     fit_rdp,
     project,
     vertex_budget,
+    _valid_edgelets,
     wedge_mask,
 )
 from brute import brute_best_cost
@@ -394,3 +395,53 @@ def test_non_finite_penalty_and_target_refused(bad):
         encode(f, 3, 3, 8, lam=bad)
     with pytest.raises(DomainError):
         encode_to_target(f, 3, 3, 8, bad)
+
+
+@pytest.mark.parametrize("m_cap", [12, 20, 24, 32])
+def test_split_mask_is_the_same_on_every_square_of_a_scale(m_cap):
+    # an edgelet is a vertex pair of its scale, so where its square sits
+    # must not change the mask, whether or not M_cap is a power of two
+    J = K = 4
+    n = 1 << J
+    for j in range(1, J):
+        size = n >> j
+        m_j = vertex_budget(j, J, K, m_cap)
+        for _, v1, v2 in _valid_edgelets(m_j)[::5]:
+            blocks = []
+            for iy in range(1 << j):
+                for ix in range(1 << j):
+                    sq = DyadicSquare(j, ix, iy)
+                    leaf = EdRdpLeaf(sq, (Edgelet(sq, v1, v2, m_j), 0))
+                    mask = wedge_mask(leaf, n)
+                    blocks.append(mask[iy * size:(iy + 1) * size,
+                                       ix * size:(ix + 1) * size])
+            assert all(np.array_equal(b, blocks[0]) for b in blocks[1:])
+
+
+def test_fit_of_a_dictionary_wedge_is_exact_for_a_non_dyadic_cap():
+    # M_cap = 12 puts vertices at thirds of a side, which binary floating
+    # point rounds; the fit and the projection must still use one mask
+    block = wedge_mask(EdRdpLeaf(UNIT, (Edgelet(UNIT, 2, 6, 12), 0)), 8)
+    f = np.zeros((16, 16))
+    f[0:8, 8:16] = block  # square (j, ix, iy) = (1, 1, 0)
+    part = fit_rdp(f, 4, 4, 12, 1e-6)
+    assert fit_cost(f, part, 0.0) == 0.0
+
+
+def test_project_refuses_a_split_square_without_both_sides():
+    a, b = Edgelet(UNIT, 0, 2, 4), Edgelet(UNIT, 1, 3, 4)
+    for pair in (((a, 0), (b, 1)), ((a, 0), (a, 0))):
+        part = EdRdp(tuple(EdRdpLeaf(UNIT, split) for split in pair), 8, 3, 4)
+        with pytest.raises(FormatError):
+            project(np.ones((8, 8)), part)
+
+
+def test_decode_refuses_either_side_of_a_degenerate_pair():
+    # vertices 7 and 9 of M_j = 32 cut off a corner whose only sample lies
+    # on the line, so side 0 is empty and no fit can use the pair
+    sq = DyadicSquare(2, 1, 1)
+    edge = Edgelet(sq, 7, 9, 32)
+    for side in (0, 1):
+        code = WedgeCode(3, 3, 32, ((EdRdpLeaf(sq, (edge, side)), 5),))
+        with pytest.raises(DegenerateWedgeError):
+            decode(code)
