@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_RASTER_CHUNK = 1 << 18  # samples per rasterize step, which bounds its memory
 
 
 def _bump(u):
@@ -359,7 +360,7 @@ def rasterize(f: StarFunction, n: int, supersample: int = 4) -> np.ndarray:
     if s < 4:
         raise FormatError("supersample must be >= 4")
     out = np.zeros((n, n))
-    chunk = max(1, (1 << 22) // (n * s * s))
+    chunk = max(1, _RASTER_CHUNK // (n * s * s))
     for row0 in range(0, n, chunk):
         row1 = min(n, row0 + chunk)
         out[row0:row1] = _window_average(f, n, s, row0, row1, 0, n)

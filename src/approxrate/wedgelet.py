@@ -11,6 +11,8 @@ the scale, M_j and the edgelet, never on where its square sits, so the
 fit, the projection and the decoder all see the same mask.  When M_cap is a
 power of two the vertices and samples are dyadic and every side test is
 exact; otherwise the vertices are rounded, but the same way everywhere.
+The fit therefore renders the masks of each (M_j, block size) once per
+process and scores every image against that cached, compact dictionary.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -57,6 +60,9 @@ CODEC_SUPERSAMPLE = 4
 WEDGE_FORMAT_VERSION = 1
 _MAGIC = b"WDGL"
 _SWEEPS = 16  # bisection steps of encode_to_target
+_SAMPLES = CODEC_SUPERSAMPLE * CODEC_SUPERSAMPLE  # mask samples per pixel
+_DENSE_MAX = 8  # blocks up to this size keep their split masks dense
+_CHUNK = 1 << 16  # elements per temporary while scoring
 
 
 @dataclass(frozen=True)
@@ -415,6 +421,142 @@ def _valid_edgelets(m_j: int):
 
 
 @dataclass(frozen=True)
+class _Masks:
+    """Every valid split mask of one (M_j, block size), in compact form.
+
+    ``local`` holds the ascending local indices of the edgelets whose pair
+    is not degenerate, and ``g00, g01, g11, det`` their pair Grams at
+    norm = 1.  A mask is stored as the number of its pixel's 16 samples
+    that fall on side 0.  Up to ``_DENSE_MAX`` the masks are the columns of
+    ``dense``, (size^2, E).  Above it, row r of edgelet e's mask is whole
+    on the columns ``run_lo[e, r] <= c < run_hi[e, r]``, and its other
+    nonzero pixels are ``st_pix[st_start[e]:st_start[e + 1]]`` (flat index
+    r * size + c) with counts ``st_count``; an edgelet with no such pixel
+    lists pixel 0 with count 0, so no segment is empty.  Every array is
+    read-only.
+    """
+
+    size: int
+    local: np.ndarray
+    g00: np.ndarray
+    g01: np.ndarray
+    g11: np.ndarray
+    det: np.ndarray
+    dense: np.ndarray | None = None
+    run_lo: np.ndarray | None = None
+    run_hi: np.ndarray | None = None
+    st_start: np.ndarray | None = None
+    st_pix: np.ndarray | None = None
+    st_count: np.ndarray | None = None
+
+
+def _frozen(values, dtype):
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)  # one run of n = 256 at M_cap = 32 uses 8 entries
+def _dictionary(m_j: int, size: int) -> _Masks:
+    """Render the split masks of (m_j, size) once per process.
+
+    Masks are position-free, so every square of this block size and vertex
+    budget, in every image and at every J, shares the entry.  Each mask is
+    compacted as soon as it is drawn, so a scale is never held as dense
+    float masks.  When a row's whole pixels are not one run, those after
+    its first run are listed with a full count: the entry is exact.
+    """
+    cols = np.arange(size)
+    pix_type = np.uint16 if size * size <= 1 << 16 else np.int32
+    local, grams, columns = [], [], []
+    run_lo, run_hi, st_start, st_pix, st_count = [], [], [0], [], []
+    for idx, v1, v2 in _valid_edgelets(m_j):
+        frac0 = _side0_fractions(m_j, v1, v2, size)
+        gram = _pair_gram(frac0, 1.0)
+        if gram is None:
+            continue
+        local.append(idx)
+        grams.append(gram)
+        counts = (frac0 * _SAMPLES).astype(np.uint8)  # exact: k / 16
+        if size <= _DENSE_MAX:
+            columns.append(counts.ravel())
+            continue
+        whole = counts == _SAMPLES
+        lo = np.argmax(whole, axis=1)  # first whole pixel of the row, or 0
+        after = ~whole & (cols >= lo[:, None])
+        hi = np.where(after.any(axis=1), np.argmax(after, axis=1), size)
+        counts[(cols >= lo[:, None]) & (cols < hi[:, None])] = 0
+        pix = np.flatnonzero(counts).astype(pix_type)
+        if not pix.size:
+            pix = np.zeros(1, pix_type)
+        run_lo.append(lo.astype(np.uint16))
+        run_hi.append(hi.astype(np.uint16))
+        st_pix.append(pix)
+        st_count.append(counts.ravel()[pix])
+        st_start.append(st_start[-1] + pix.size)
+    g00, g01, g11, det = (_frozen(col, np.float64) for col in zip(*grams))
+    if size <= _DENSE_MAX:
+        compact = {"dense": _frozen(np.stack(columns, axis=1), np.uint8)}
+    else:
+        compact = {"run_lo": _frozen(run_lo, np.uint16),
+                   "run_hi": _frozen(run_hi, np.uint16),
+                   "st_start": _frozen(st_start, np.int32),
+                   "st_pix": _frozen(np.concatenate(st_pix), pix_type),
+                   "st_count": _frozen(np.concatenate(st_count), np.uint8)}
+    return _Masks(size, _frozen(local, np.int32), g00, g01, g11, det, **compact)
+
+
+def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
+    """Smallest two-wedge squared error per square and its local index.
+
+    ``blocks`` is (squares, size^2).  The side-0 sums v0 come from one
+    BLAS product for dense masks, else from row prefix sums over the runs
+    plus the other pixels' counted terms.  Squares go in chunks so that no
+    temporary is much larger than ``_CHUNK`` elements.  Ties go to the
+    smaller local index.
+    """
+    nsq = blocks.shape[0]
+    size = masks.size
+    n_edge = masks.local.size
+    # norm is a power of two, so these equal _pair_gram(frac0, norm)
+    g00, g01, g11 = masks.g00 * norm, masks.g01 * norm, masks.g11 * norm
+    det = masks.det * (norm * norm)
+    if masks.dense is None:
+        offsets = np.arange(size) * (size + 1)
+        hi = (masks.run_hi + offsets).ravel()
+        lo = (masks.run_lo + offsets).ravel()
+        pix = masks.st_pix.astype(np.intp)
+        starts = masks.st_start[:-1]
+        width = max(n_edge * size, pix.size, size * (size + 1))
+    else:
+        dense = masks.dense / _SAMPLES  # exact: the side-0 fractions
+        width = max(n_edge, size * size)
+    chunk = max(1, _CHUNK // width)
+    best = np.empty(nsq)
+    best_idx = np.empty(nsq, dtype=np.int64)
+    for s0 in range(0, nsq, chunk):
+        blk = blocks[s0:s0 + chunk]
+        if masks.dense is None:
+            prefix = np.zeros((blk.shape[0], size, size + 1))
+            np.cumsum(blk.reshape(-1, size, size), axis=2, out=prefix[:, :, 1:])
+            prefix = prefix.reshape(blk.shape[0], -1)
+            runs = np.take(prefix, hi, axis=1) - np.take(prefix, lo, axis=1)
+            v0 = runs.reshape(-1, n_edge, size).sum(axis=2)
+            counted = np.take(blk, pix, axis=1) * masks.st_count
+            v0 += np.add.reduceat(counted, starts, axis=1) / _SAMPLES
+        else:
+            v0 = blk @ dense
+        v0 *= norm
+        v1 = sums[s0:s0 + chunk, None] * norm - v0
+        quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1 + g00 * v1 * v1) / det
+        sse = sumsq[s0:s0 + chunk, None] * norm - quad
+        arg = np.argmin(sse, axis=1)
+        best[s0:s0 + chunk] = sse[np.arange(arg.size), arg]
+        best_idx[s0:s0 + chunk] = masks.local[arg]
+    return best, best_idx
+
+
+@dataclass(frozen=True)
 class _Scores:
     """Penalty-free costs of every square of one image, indexed by scale j.
 
@@ -434,7 +576,7 @@ class _Scores:
 
 
 def _score(f, J: int, K: int, m_cap: int) -> _Scores:
-    """Rasterize the edgelet dictionary once and score it on every square.
+    """Score every square against the cached edgelet dictionary.
 
     Per square the edgelet with the smallest two-wedge squared error wins;
     ties go to the smaller local index.  The penalty plays no part, so one
@@ -451,25 +593,14 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
         sums = blocks.sum(axis=(1, 2))
         sumsq = (blocks * blocks).sum(axis=(1, 2))
         unsplit.append((sumsq - sums * sums / (size * size)) * norm)
-        best_split = np.full(nsq, np.inf)
-        split_idx = np.full(nsq, -1, dtype=np.int64)
         if j < J:
-            m_j = vertex_budget(j, J, K, m_cap)
-            for local_idx, v1, v2 in _valid_edgelets(m_j):
-                frac0 = _side0_fractions(m_j, v1, v2, size)
-                gram = _pair_gram(frac0, norm)
-                if gram is None:
-                    continue
-                g00, g01, g11, det = gram
-                v0 = np.einsum("sij,ij->s", blocks, frac0) * norm
-                v1_ = sums * norm - v0
-                quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1_ + g00 * v1_ * v1_) / det
-                sse = sumsq * norm - quad
-                better = sse < best_split
-                best_split[better] = sse[better]
-                split_idx[better] = local_idx
-        split.append(best_split)
-        edge.append(split_idx)
+            masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
+            best, best_idx = _best_splits(blocks.reshape(nsq, -1), sums, sumsq,
+                                          masks, norm)
+        else:
+            best, best_idx = np.full(nsq, np.inf), np.full(nsq, -1, dtype=np.int64)
+        split.append(best)
+        edge.append(best_idx)
     return _Scores(J, K, m_cap, tuple(unsplit), tuple(split), tuple(edge))
 
 
@@ -690,6 +821,8 @@ class WedgeCode:
             else:
                 leaf = EdRdpLeaf(sq, None)
             q = r.read(cbits) - offset
+            if abs(q) > offset:
+                raise CorruptionError("coefficient outside the stream alphabet")
             records.append((leaf, q))
         if len(data) - 13 != (r.pos + 7) >> 3:
             raise CorruptionError("bytes after the last record")

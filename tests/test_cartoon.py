@@ -172,3 +172,19 @@ def test_petal_window_matches_full_rasterize_difference():
     full = np.zeros((n, n))
     full[r0:r0 + win.shape[0], c0:c0 + win.shape[1]] = win
     assert np.max(np.abs(full - diff)) <= 1e-12
+
+
+@pytest.mark.parametrize("image", ["disc", "petals"])
+def test_rasterize_in_steps_equals_one_whole_image_pass(image):
+    # rasterize works a few rows at a time to bound its memory; every
+    # sample is independent, so the steps must not change a single bit
+    from approxrate.cartoon import _window_average
+
+    if image == "disc":
+        star = disc_star()
+    else:
+        spec = make_hypercube(2.0 ** -5, 2.0, 1.0)
+        star = vertex_function(spec, (1, 0) * (spec.m // 2))
+    n = 256
+    whole = _window_average(star, n, 4, 0, n, 0, n)
+    assert np.array_equal(rasterize(star, n, 4), whole)

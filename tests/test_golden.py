@@ -27,6 +27,7 @@ import math
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
@@ -110,3 +111,23 @@ def test_from_bytes_refuses_nonzero_padding():
                 WedgeCode.from_bytes(data[:-1] + bytes([data[-1] | 1 << bit]))
             flipped += 1
     assert flipped == 4  # only disc64_lam.wdgl ends inside a byte
+
+
+def _one_leaf_stream(field):
+    """encode(np.full((8, 8), 0.25), 3, 3, 8, lam=1.0) with its 8-bit
+    coefficient field replaced: scale 00, split flag 0, field, 5 pad bits."""
+    data = encode(np.full((8, 8), 0.25), 3, 3, 8, lam=1.0).to_bytes()
+    assert len(data) == 15
+    return data[:13] + (field << 5).to_bytes(2, "big")
+
+
+def test_from_bytes_refuses_a_coefficient_outside_the_alphabet():
+    # at n = 8 the alphabet is |q| <= 65, the field q + 65 in 0..130
+    for field, q in ((0, -65), (65, 0), (130, 65)):
+        data = _one_leaf_stream(field)
+        assert WedgeCode.from_bytes(data).records[0][1] == q
+        assert WedgeCode.from_bytes(data).to_bytes() == data
+    assert _one_leaf_stream(255)[13:] == bytes.fromhex("1fe0")  # q = 190
+    for field in (131, 255):
+        with pytest.raises(CorruptionError):
+            WedgeCode.from_bytes(_one_leaf_stream(field))
