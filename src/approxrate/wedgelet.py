@@ -13,13 +13,17 @@ power of two the vertices and samples are dyadic and every side test is
 exact; otherwise the vertices are rounded, but the same way everywhere.
 The fit therefore renders the masks of each (M_j, block size) once per
 process and scores every image against that cached, compact dictionary.
+``project`` and ``decode`` take their masks and Grams from the same
+dictionary and handle a whole quadtree scale at a time; where an entry is
+not built yet, they draw only the edgelets their leaves name, with the
+same code.  Only ``wedge_mask`` draws a mask by itself.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import warnings
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -59,6 +63,7 @@ DEFAULT_M_CAP = 32
 CODEC_SUPERSAMPLE = 4
 WEDGE_FORMAT_VERSION = 1
 _MAGIC = b"WDGL"
+_HEADER_BYTES = 13  # magic, then version, J, K, M_cap and record count
 _SWEEPS = 16  # bisection steps of encode_to_target
 _SAMPLES = CODEC_SUPERSAMPLE * CODEC_SUPERSAMPLE  # mask samples per pixel
 _DENSE_MAX = 8  # blocks up to this size keep their split masks dense
@@ -159,11 +164,15 @@ class Edgelet:
 
     @classmethod
     def from_local_index(cls, square, idx, m_count):
-        v2 = (1 + math.isqrt(1 + 8 * idx)) // 2
-        while v2 * (v2 - 1) // 2 > idx:
-            v2 -= 1
-        v1 = idx - v2 * (v2 - 1) // 2
-        return cls(square, v1, v2, m_count)
+        return cls(square, *_vertex_pair(idx), m_count)
+
+
+def _vertex_pair(idx: int):
+    """(v1, v2) of the vertex pair with colex rank idx."""
+    v2 = (1 + math.isqrt(1 + 8 * idx)) // 2
+    while v2 * (v2 - 1) // 2 > idx:
+        v2 -= 1
+    return idx - v2 * (v2 - 1) // 2, v2
 
 
 @dataclass(frozen=True)
@@ -300,32 +309,34 @@ def _pair_gram(frac0, norm: float):
     return g00, g01, g11, det
 
 
-def _leaf_block(leaf: EdRdpLeaf, n: int):
-    """(block array, row0, col0) for the leaf's pixel window."""
-    sq = leaf.square
-    if (n & (n - 1)) != 0:
+def _pixel_scale(n: int) -> int:
+    """J of an n x n pixel grid; n must be a power of two."""
+    if n < 1 or (n & (n - 1)) != 0:
         raise FormatError("n must be a power of two")
-    J = int(math.log2(n))
-    if sq.j > J:
-        raise InputShapeError("leaf square finer than the pixel grid")
-    size = 1 << (J - sq.j)
-    row0, col0 = sq.iy * size, sq.ix * size
-    if leaf.split is None:
-        return np.ones((size, size)), row0, col0
-    edge, side = leaf.split
-    if _is_degenerate(edge.v1, edge.v2, edge.m_count):
-        raise DegenerateWedgeError(
-            f"edgelet ({edge.v1},{edge.v2}) runs along the square boundary")
-    frac0 = _side0_fractions(edge.m_count, edge.v1, edge.v2, size)
-    block = frac0 if side == 0 else 1.0 - frac0
-    return block, row0, col0
+    return n.bit_length() - 1
 
 
 def wedge_mask(leaf: EdRdpLeaf, n: int):
-    """Per-pixel average of the leaf's indicator as a full n x n array."""
-    block, row0, col0 = _leaf_block(leaf, n)
+    """Per-pixel average of the leaf's indicator as a full n x n array.
+
+    Drawn by the renderer itself rather than read from the edgelet
+    dictionary, so it is an independent check on the codec's masks.
+    """
+    sq = leaf.square
+    if sq.j > _pixel_scale(n):
+        raise InputShapeError("leaf square finer than the pixel grid")
+    size = n >> sq.j
+    if leaf.split is None:
+        block = np.ones((size, size))
+    else:
+        edge, side = leaf.split
+        if _is_degenerate(edge.v1, edge.v2, edge.m_count):
+            raise DegenerateWedgeError(
+                f"edgelet ({edge.v1},{edge.v2}) runs along the square boundary")
+        frac0 = _side0_fractions(edge.m_count, edge.v1, edge.v2, size)
+        block = frac0 if side == 0 else 1.0 - frac0
     out = np.zeros((n, n))
-    out[row0:row0 + block.shape[0], col0:col0 + block.shape[1]] = block
+    out[sq.iy * size:(sq.iy + 1) * size, sq.ix * size:(sq.ix + 1) * size] = block
     return out
 
 
@@ -339,16 +350,79 @@ class Projection:
     reconstruction: np.ndarray
 
 
-def _group_leaves(leaves):
-    """Pair up the two wedgelets of each split square; singles stay alone."""
-    groups = {}
-    order = []
-    for idx, leaf in enumerate(leaves):
-        key = (leaf.square.j, leaf.square.ix, leaf.square.iy)
-        groups.setdefault(key, []).append(idx)
-        if len(groups[key]) == 1:
-            order.append(key)
-    return [groups[key] for key in order]
+@dataclass(frozen=True)
+class _Leaves:
+    """Leaves as int64 columns: square (j, ix, iy), then for a split leaf
+    its edgelet's M_j, local index and side (0, -1 and 0 when unsplit)."""
+
+    J: int
+    j: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+    m: np.ndarray
+    local: np.ndarray
+    side: np.ndarray
+
+    @classmethod
+    def of(cls, leaves, n: int) -> "_Leaves":
+        J = _pixel_scale(n)
+        rows = []
+        for leaf in leaves:
+            sq, split = leaf.square, leaf.split
+            rows.append((sq.j, sq.ix, sq.iy, 0, -1, 0) if split is None else
+                        (sq.j, sq.ix, sq.iy, split[0].m_count, split[0].local_index,
+                         split[1] != 0))
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+        if np.any(cols[0] > J):
+            raise InputShapeError("leaf square finer than the pixel grid")
+        return cls(J, *cols)
+
+    def partners(self, disjoint: bool):
+        """Index of the leaf on the other side of each leaf's square, or -1.
+
+        Leaves that share a square must be sides 0 and 1 of one edgelet,
+        else ``FormatError``.  With ``disjoint`` any other overlap, a square
+        inside another included, is refused as ``CorruptionError``.  Each
+        square is a run of Z-order codes at the pixel scale, so sorting by
+        its first code puts every overlap between neighbours.
+        """
+        shift = self.J - self.j
+        x, y = self.ix << shift, self.iy << shift
+        start = np.zeros_like(x)
+        for b in range(self.J):
+            start |= ((x >> b) & 1) << (2 * b) | ((y >> b) & 1) << (2 * b + 1)
+        order = np.lexsort((self.side, self.j, start))
+        a, b = order[:-1], order[1:]
+        overlap = start[b] < start[a] + (1 << 2 * shift[a])
+        shared = overlap & (self.j[a] == self.j[b])
+        pair = shared & (self.local[a] >= 0) & (self.local[a] == self.local[b]) \
+            & (self.m[a] == self.m[b]) & (self.side[a] < self.side[b])
+        if disjoint and np.any(overlap & ~pair):
+            raise CorruptionError("overlapping leaves in stream")
+        if np.any(shared & ~pair):
+            raise FormatError("a split square needs both sides of one edgelet")
+        partner = np.full(self.j.size, -1)
+        partner[a[pair]], partner[b[pair]] = b[pair], a[pair]
+        return partner
+
+    def scales(self):
+        """(j, indices of its unsplit leaves, indices of its split leaves)."""
+        for j in np.unique(self.j):
+            at = self.j == j
+            yield (int(j), np.flatnonzero(at & (self.local < 0)),
+                   np.flatnonzero(at & (self.local >= 0)))
+
+    def windows(self, idx):
+        """Index of the squares of leaves ``idx``, all of one scale, in
+        that scale's tile view."""
+        return self.iy[idx], slice(None), self.ix[idx], slice(None)
+
+
+def _tiles(arr, j: int):
+    """(2^j, size, 2^j, size) view of an n x n array: square (ix, iy) of
+    scale j is ``[iy, :, ix, :]``."""
+    size = arr.shape[0] >> j
+    return arr.reshape(1 << j, size, 1 << j, size)
 
 
 def project(f_array, partition: EdRdp):
@@ -356,49 +430,41 @@ def project(f_array, partition: EdRdp):
 
     Masks of distinct squares have disjoint pixel support; the two sides
     of one split square share the pixels the edgelet crosses, so those
-    pairs are solved through their 2x2 normal equations.
+    pairs are solved through their 2x2 normal equations.  A whole scale is
+    solved at once, with masks and Grams from the edgelet dictionary.
     """
     f = _check_array(f_array, partition.n)
     n = partition.n
     norm = 1.0 / (n * n)
-    recon = np.zeros_like(f)
-    leaves = partition.leaves
-    coefs = [0.0] * len(leaves)
-    thetas = [0.0] * len(leaves)
-    for group in _group_leaves(leaves):
-        if len(group) > 2:
-            raise FormatError("more than two wedgelets share a square")
-        blk, r0, c0 = _leaf_block(leaves[group[0]], n)
-        window = f[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]]
-        if len(group) == 1:
-            idx = group[0]
-            g = float(np.sum(blk * blk)) * norm
-            if g <= 0.0:
-                raise DegenerateWedgeError("zero-norm mask in partition")
-            v = float(np.sum(window * blk)) * norm
-            coefs[idx] = v / g
-            thetas[idx] = v / math.sqrt(g)
-            recon[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] += coefs[idx] * blk
-        else:
-            i0, i1 = group
-            l0, l1 = leaves[i0], leaves[i1]
-            if l0.split is None or l1.split is None \
-                    or l0.edgelet != l1.edgelet or l0.side == l1.side:
-                raise FormatError("a split square needs both sides of one edgelet")
-            b0, b1 = blk, 1.0 - blk
-            gram = _pair_gram(b0, norm)
-            if gram is None:
-                raise DegenerateWedgeError("degenerate wedge pair in partition")
-            g00, g01, g11, det = gram
-            v0 = float(np.sum(window * b0)) * norm
-            v1 = float(np.sum(window * b1)) * norm
-            a0 = (g11 * v0 - g01 * v1) / det
-            a1 = (g00 * v1 - g01 * v0) / det
-            coefs[i0], coefs[i1] = a0, a1
-            thetas[i0] = a0 * math.sqrt(g00)
-            thetas[i1] = a1 * math.sqrt(g11)
-            recon[r0:r0 + b0.shape[0], c0:c0 + b0.shape[1]] += a0 * b0 + a1 * b1
-    return Projection(leaves, tuple(coefs), tuple(thetas), recon)
+    table = _Leaves.of(partition.leaves, n)
+    partner = table.partners(disjoint=False)
+    v = np.zeros(partner.size)
+    coefs = np.zeros(partner.size)
+    thetas = np.zeros(partner.size)
+    recon = np.zeros((n, n))  # C order, so its tile views are views
+    for j, whole, cut in table.scales():
+        size = n >> j
+        tiles, out = _tiles(f, j), _tiles(recon, j)
+        if whole.size:
+            g = size * size * norm
+            v[whole] = tiles[table.windows(whole)].sum(axis=(1, 2)) * norm
+            coefs[whole], thetas[whole] = v[whole] / g, v[whole] / np.sqrt(g)
+            np.add.at(out, table.windows(whole), coefs[whole, None, None])
+        if not cut.size:
+            continue
+        masks, (g, g_other, g01, det) = _split_masks(table, cut, size)
+        g, g_other, g01, det = g * norm, g_other * norm, g01 * norm, det * (norm * norm)
+        v[cut] = np.einsum("kij,kij->k", tiles[table.windows(cut)], masks) * norm
+        # the other side of a pair lies in the same square, so in this
+        # scale; an unpaired leaf reads v[-1], which np.where drops
+        v_other = v[partner[cut]]
+        pair = partner[cut] >= 0
+        coefs[cut] = np.where(pair, (g_other * v[cut] - g01 * v_other) / det, v[cut] / g)
+        thetas[cut] = np.where(pair, coefs[cut] * np.sqrt(g), v[cut] / np.sqrt(g))
+        masks *= coefs[cut, None, None]
+        np.add.at(out, table.windows(cut), masks)
+    return Projection(partition.leaves, tuple(coefs.tolist()), tuple(thetas.tolist()),
+                      recon)
 
 
 def _check_array(f_array, n):
@@ -456,21 +522,37 @@ def _frozen(values, dtype):
     return arr
 
 
+# the dictionary entries alive in this process, so that a decode can use
+# one without building it
+_BUILT = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=64)  # one run of n = 256 at M_cap = 32 uses 8 entries
 def _dictionary(m_j: int, size: int) -> _Masks:
     """Render the split masks of (m_j, size) once per process.
 
     Masks are position-free, so every square of this block size and vertex
-    budget, in every image and at every J, shares the entry.  Each mask is
-    compacted as soon as it is drawn, so a scale is never held as dense
-    float masks.  When a row's whole pixels are not one run, those after
-    its first run are listed with a full count: the entry is exact.
+    budget, in every image and at every J, shares the entry.
+    """
+    entry = _render(m_j, size, _valid_edgelets(m_j))
+    _BUILT[m_j, size] = entry
+    return entry
+
+
+def _render(m_j: int, size: int, edgelets) -> _Masks:
+    """The entry of (m_j, size) restricted to ``edgelets``, ascending
+    (local index, v1, v2) triples of non-degenerate pairs.
+
+    Each mask is compacted as soon as it is drawn, so a scale is never
+    held as dense float masks.  When a row's whole pixels are not one run,
+    those after its first run are listed with a full count: the entry is
+    exact.
     """
     cols = np.arange(size)
     pix_type = np.uint16 if size * size <= 1 << 16 else np.int32
     local, grams, columns = [], [], []
     run_lo, run_hi, st_start, st_pix, st_count = [], [], [0], [], []
-    for idx, v1, v2 in _valid_edgelets(m_j):
+    for idx, v1, v2 in edgelets:
         frac0 = _side0_fractions(m_j, v1, v2, size)
         gram = _pair_gram(frac0, 1.0)
         if gram is None:
@@ -494,16 +576,90 @@ def _dictionary(m_j: int, size: int) -> _Masks:
         st_pix.append(pix)
         st_count.append(counts.ravel()[pix])
         st_start.append(st_start[-1] + pix.size)
-    g00, g01, g11, det = (_frozen(col, np.float64) for col in zip(*grams))
+    # an entry may hold no edgelet: at size 1 every pair has det = 0
+    g00, g01, g11, det = (_frozen(col, np.float64)
+                          for col in np.reshape(grams, (-1, 4)).T)
     if size <= _DENSE_MAX:
-        compact = {"dense": _frozen(np.stack(columns, axis=1), np.uint8)}
+        dense = np.reshape(np.asarray(columns, np.uint8), (-1, size * size))
+        compact = {"dense": _frozen(np.ascontiguousarray(dense.T), np.uint8)}
     else:
-        compact = {"run_lo": _frozen(run_lo, np.uint16),
-                   "run_hi": _frozen(run_hi, np.uint16),
+        compact = {"run_lo": _frozen(np.reshape(run_lo, (-1, size)), np.uint16),
+                   "run_hi": _frozen(np.reshape(run_hi, (-1, size)), np.uint16),
                    "st_start": _frozen(st_start, np.int32),
-                   "st_pix": _frozen(np.concatenate(st_pix), pix_type),
-                   "st_count": _frozen(np.concatenate(st_count), np.uint8)}
+                   "st_pix": _frozen(np.concatenate([np.zeros(0, pix_type), *st_pix]),
+                                     pix_type),
+                   "st_count": _frozen(np.concatenate([np.zeros(0, np.uint8), *st_count]),
+                                       np.uint8)}
     return _Masks(size, _frozen(local, np.int32), g00, g01, g11, det, **compact)
+
+
+def _expand(masks: _Masks, pos):
+    """Side-0 fractions (k, size, size) of the dictionary entries ``pos``.
+
+    Every value is a sample count over 16, so the expansion is exact.
+    """
+    size = masks.size
+    if masks.dense is not None:
+        return (masks.dense[:, pos].T / _SAMPLES).reshape(-1, size, size)
+    cols = np.arange(size)
+    out = (cols >= masks.run_lo[pos][:, :, None]) & (cols < masks.run_hi[pos][:, :, None])
+    out = out.reshape(pos.size, -1).astype(float)
+    lo, hi = masks.st_start[pos], masks.st_start[pos + 1]
+    count = hi - lo
+    at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    # listed pixels lie outside the runs (the placeholder's count is 0)
+    out[np.repeat(np.arange(pos.size), count), masks.st_pix[at]] += \
+        masks.st_count[at] / _SAMPLES
+    return out.reshape(-1, size, size)
+
+
+def _entry(m_j: int, size: int, named):
+    """A dictionary entry of (m_j, size) that holds the edgelets ``named``
+    (ascending local indices) unless they are degenerate.
+
+    The whole entry when it is built already, or when the named edgelets
+    are a quarter of all pairs; else only the named ones, drawn by the
+    same code, so the work grows with the named edgelets and not with m_j.
+    """
+    entry = _BUILT.get((m_j, size))
+    if entry is not None:
+        return entry
+    if 4 * named.size >= comb(m_j, 2):
+        return _dictionary(m_j, size)
+    edgelets = [(idx, *_vertex_pair(idx)) for idx in named.tolist()]
+    return _render(m_j, size, [e for e in edgelets if not _is_degenerate(e[1], e[2], m_j)])
+
+
+def _split_masks(table, sel, size: int):
+    """Masks (k, size, size) of the split leaves ``sel`` of one scale, and
+    their Grams.
+
+    The Grams, at norm 1, are per leaf (g, g_other, g01, det): its own
+    mask's, the other side's, their cross term and the pair determinant.
+    A pair missing from its dictionary entry is degenerate or runs along
+    the square's boundary.
+    """
+    local, m = table.local[sel], table.m[sel]
+    budgets = np.unique(m)  # one, unless the leaves were made by hand
+    masks = None if budgets.size == 1 else np.empty((sel.size, size, size))
+    grams = np.empty((4, sel.size))
+    for m_j in budgets:
+        at = np.flatnonzero(m == m_j)
+        entry = _entry(int(m_j), size, np.unique(local[at]))
+        pos = np.searchsorted(entry.local, local[at])
+        if np.any(pos == entry.local.size) or np.any(entry.local[pos] != local[at]):
+            raise DegenerateWedgeError("degenerate wedge pair")
+        frac0 = _expand(entry, pos)
+        side1 = table.side[sel[at]] == 1
+        frac0[side1] = 1.0 - frac0[side1]
+        if masks is None:
+            masks = frac0
+        else:
+            masks[at] = frac0
+        g00, g11 = entry.g00[pos], entry.g11[pos]
+        grams[:, at] = (np.where(side1, g11, g00), np.where(side1, g00, g11),
+                        entry.g01[pos], entry.det[pos])
+    return masks, grams
 
 
 def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
@@ -588,7 +744,7 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     for j in range(J + 1):
         size = 1 << (J - j)
         nsq = 1 << (2 * j)
-        blocks = f.reshape(1 << j, size, 1 << j, size).transpose(0, 2, 1, 3)
+        blocks = _tiles(f, j).transpose(0, 2, 1, 3)
         blocks = blocks.reshape(nsq, size, size)  # index = iy * 2^j + ix
         sums = blocks.sum(axis=(1, 2))
         sumsq = (blocks * blocks).sum(axis=(1, 2))
@@ -759,45 +915,52 @@ class WedgeCode:
 
     @property
     def bit_length(self):
-        return 8 * len(self.to_bytes())
+        """``8 * len(self.to_bytes())``, summed from the field widths."""
+        bits = sum(width for _, width in self._fields())
+        return 8 * _HEADER_BYTES + (bits + 7) // 8 * 8
 
-    def to_bytes(self) -> bytes:
-        header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
-                                      self.K, self.m_cap, len(self.records))
-        w = _BitWriter()
+    def _fields(self):
+        """The payload as (value, width) pairs, in stream order."""
         sbits = _scale_bits(self.J)
         cbits = _coef_bits(self.n)
         offset = self.n * self.n + 1
         for leaf, q in self.records:
             sq = leaf.square
-            w.write(sq.j, sbits)
-            w.write(sq.ix, sq.j)
-            w.write(sq.iy, sq.j)
+            yield sq.j, sbits
+            yield sq.ix, sq.j
+            yield sq.iy, sq.j
             if leaf.split is None:
-                w.write(0, 1)
+                yield 0, 1
             else:
                 edge, side = leaf.split
-                w.write(1, 1)
-                w.write(edge.local_index,
-                        _edge_bits(vertex_budget(sq.j, self.J, self.K, self.m_cap)))
-                w.write(side, 1)
+                yield 1, 1
+                yield (edge.local_index,
+                       _edge_bits(vertex_budget(sq.j, self.J, self.K, self.m_cap)))
+                yield side, 1
             if not 0 <= q + offset <= 2 * offset:
                 raise RangeError("coefficient outside the stream alphabet")
-            w.write(q + offset, cbits)
+            yield q + offset, cbits
+
+    def to_bytes(self) -> bytes:
+        header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
+                                      self.K, self.m_cap, len(self.records))
+        w = _BitWriter()
+        for value, width in self._fields():
+            w.write(value, width)
         return header + w.flush()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WedgeCode":
-        if len(data) < 13:
+        if len(data) < _HEADER_BYTES:
             raise CorruptionError("stream shorter than the fixed header")
         if data[:4] != _MAGIC:
             raise CorruptionError("bad magic")
-        version, J, K, m_cap, count = struct.unpack("<BBBHI", data[4:13])
+        version, J, K, m_cap, count = struct.unpack("<BBBHI", data[4:_HEADER_BYTES])
         if version != WEDGE_FORMAT_VERSION:
             raise CorruptionError(f"unsupported version {version}")
         if J > 15:
             raise CorruptionError("implausible pixel scale in header")
-        r = _BitReader(data[13:])
+        r = _BitReader(data[_HEADER_BYTES:])
         sbits = _scale_bits(J)
         n = 1 << J
         cbits = _coef_bits(n)
@@ -824,7 +987,7 @@ class WedgeCode:
             if abs(q) > offset:
                 raise CorruptionError("coefficient outside the stream alphabet")
             records.append((leaf, q))
-        if len(data) - 13 != (r.pos + 7) >> 3:
+        if len(data) - _HEADER_BYTES != (r.pos + 7) >> 3:
             raise CorruptionError("bytes after the last record")
         used = r.pos & 7
         if used and data[-1] & (0xFF >> used):
@@ -865,26 +1028,30 @@ def _round_half_toward_zero(x: float) -> int:
 
 
 def decode(code: WedgeCode) -> np.ndarray:
-    """Reconstruct sum_theta_P phi_P; lossless given the stored integers."""
+    """Reconstruct sum_theta_P phi_P; lossless given the stored integers.
+
+    Record squares must be disjoint, except that one square may carry
+    sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
+    found before any mask is drawn, so the masks never take more than
+    2 n^2 values.  A whole scale is drawn at once, from the edgelet
+    dictionary; a decode that finds no entry built draws only the
+    edgelets its records name.
+    """
     n = code.n
-    out = np.zeros((n, n))
-    covered = np.zeros((n, n), dtype=np.int32)
     norm = 1.0 / (n * n)
-    for leaf, q in code.records:
-        block, r0, c0 = _leaf_block(leaf, n)
-        if leaf.split is None:
-            nsq = block.size * norm
-        else:
-            gram = _pair_gram(block, norm)
-            if gram is None:
-                raise DegenerateWedgeError("degenerate wedge pair in stream")
-            nsq = gram[0]
-        theta = q * code.eta
-        out[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += \
-            theta / math.sqrt(nsq) * block
-        covered[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block > 0.5
-    if np.any(covered > 1):
-        warnings.warn("overlapping leaves in stream; emitting the sum anyway")
+    table = _Leaves.of([leaf for leaf, _ in code.records], n)
+    table.partners(disjoint=True)
+    theta = np.array([q for _, q in code.records], dtype=np.float64) * code.eta
+    out = np.zeros((n, n))
+    for j, whole, cut in table.scales():
+        size = n >> j
+        tiles = _tiles(out, j)
+        scale = theta[whole] / np.sqrt(size * size * norm)
+        np.add.at(tiles, table.windows(whole), scale[:, None, None])
+        if cut.size:
+            masks, grams = _split_masks(table, cut, size)
+            masks *= (theta[cut] / np.sqrt(grams[0] * norm))[:, None, None]
+            np.add.at(tiles, table.windows(cut), masks)
     return out
 
 
