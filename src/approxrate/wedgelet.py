@@ -833,60 +833,35 @@ def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
     return sse + lam * len(partition.leaves)
 
 
-class _BitWriter:
-    def __init__(self):
-        self.bytes = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, width: int):
-        if width < 0 or (width == 0 and value != 0) or value < 0 \
-                or (width > 0 and value >= 1 << width):
-            raise FormatError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self.acc = (self.acc << 1) | ((value >> shift) & 1)
-            self.nbits += 1
-            if self.nbits == 8:
-                self.bytes.append(self.acc)
-                self.acc = 0
-                self.nbits = 0
-
-    def flush(self) -> bytes:
-        if self.nbits:
-            self.bytes.append(self.acc << (8 - self.nbits))
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.bytes)
-
-
 class _BitReader:
+    """Fields read in order from a payload, as one string of '0'/'1'."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") \
+            if data else ""
         self.pos = 0
 
     def read(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            byte = self.pos >> 3
-            if byte >= len(self.data):
-                raise CorruptionError("payload truncated")
-            bit = (self.data[byte] >> (7 - (self.pos & 7))) & 1
-            value = (value << 1) | bit
-            self.pos += 1
-        return value
+        start, self.pos = self.pos, self.pos + width
+        if self.pos > len(self.bits):
+            raise CorruptionError("payload truncated")
+        return int(self.bits[start:self.pos] or "0", 2)
 
 
-def _scale_bits(J: int) -> int:
-    return max(1, math.ceil(math.log2(J + 1))) if J > 0 else 0
+def _layout(J: int, K: int, m_cap: int):
+    """The field widths of a stream with this header.
 
-
-def _edge_bits(m_j: int) -> int:
-    pairs = comb(m_j, 2)
-    return max(1, math.ceil(math.log2(pairs))) if pairs > 1 else 0
-
-
-def _coef_bits(n: int) -> int:
-    return math.ceil(math.log2(2 * n * n + 3))
+    (scale width, coefficient width, coefficient offset n^2 + 1, splits),
+    where splits[j] = (M_j, edgelet index width, pair count) for scales
+    j = 0..J.  An invalid M_cap is a ``FormatError``.
+    """
+    offset = (1 << 2 * J) + 1
+    splits = []
+    for j in range(J + 1):
+        m_j = vertex_budget(j, J, K, m_cap)
+        pairs = comb(m_j, 2)
+        splits.append((m_j, (pairs - 1).bit_length(), pairs))
+    return J.bit_length(), (2 * offset).bit_length(), offset, splits
 
 
 @dataclass(frozen=True)
@@ -920,34 +895,41 @@ class WedgeCode:
         return 8 * _HEADER_BYTES + (bits + 7) // 8 * 8
 
     def _fields(self):
-        """The payload as (value, width) pairs, in stream order."""
-        sbits = _scale_bits(self.J)
-        cbits = _coef_bits(self.n)
-        offset = self.n * self.n + 1
+        """The payload as (value, width) pairs, in stream order.
+
+        A leaf the header cannot carry, or a value wider than its field, is
+        a ``FormatError``; q outside the alphabet is a ``RangeError``.
+        """
+        sbits, cbits, offset, splits = _layout(self.J, self.K, self.m_cap)
+        fields = []
         for leaf, q in self.records:
             sq = leaf.square
-            yield sq.j, sbits
-            yield sq.ix, sq.j
-            yield sq.iy, sq.j
+            if sq.j > self.J:
+                raise FormatError("leaf finer than the stream's pixel scale")
+            fields += [(sq.j, sbits), (sq.ix, sq.j), (sq.iy, sq.j)]
             if leaf.split is None:
-                yield 0, 1
+                fields.append((0, 1))
             else:
                 edge, side = leaf.split
-                yield 1, 1
-                yield (edge.local_index,
-                       _edge_bits(vertex_budget(sq.j, self.J, self.K, self.m_cap)))
-                yield side, 1
+                m_j, ebits, _ = splits[sq.j]
+                if edge.m_count != m_j or edge.square != sq:
+                    raise FormatError("edgelet of another square or vertex budget")
+                fields += [(1, 1), (edge.local_index, ebits), (side, 1)]
             if not 0 <= q + offset <= 2 * offset:
                 raise RangeError("coefficient outside the stream alphabet")
-            yield q + offset, cbits
+            fields.append((q + offset, cbits))
+        for value, width in fields:
+            if not 0 <= value < 1 << width:
+                raise FormatError(f"value {value} does not fit in {width} bits")
+        return fields
 
     def to_bytes(self) -> bytes:
         header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
                                       self.K, self.m_cap, len(self.records))
-        w = _BitWriter()
-        for value, width in self._fields():
-            w.write(value, width)
-        return header + w.flush()
+        bits = "".join(format(value, f"0{width}b") for value, width in self._fields()
+                       if width)
+        bits += "0" * (-len(bits) % 8)
+        return header + int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WedgeCode":
@@ -960,38 +942,29 @@ class WedgeCode:
             raise CorruptionError(f"unsupported version {version}")
         if J > 15:
             raise CorruptionError("implausible pixel scale in header")
+        sbits, cbits, offset, splits = _layout(J, K, m_cap)
         r = _BitReader(data[_HEADER_BYTES:])
-        sbits = _scale_bits(J)
-        n = 1 << J
-        cbits = _coef_bits(n)
-        offset = n * n + 1
         records = []
         for _ in range(count):
             j = r.read(sbits)
             if j > J:
                 raise CorruptionError("leaf scale beyond header scale")
-            ix = r.read(j)
-            iy = r.read(j)
-            sq = DyadicSquare(j, ix, iy)
+            sq = DyadicSquare(j, r.read(j), r.read(j))
             if r.read(1):
-                m_j = vertex_budget(j, J, K, m_cap)
-                idx = r.read(_edge_bits(m_j))
-                if idx >= comb(m_j, 2):
+                m_j, ebits, pairs = splits[j]
+                idx = r.read(ebits)
+                if idx >= pairs:
                     raise CorruptionError("edgelet index out of range")
-                side = r.read(1)
-                edge = Edgelet.from_local_index(sq, idx, m_j)
-                leaf = EdRdpLeaf(sq, (edge, side))
+                leaf = EdRdpLeaf(sq, (Edgelet.from_local_index(sq, idx, m_j), r.read(1)))
             else:
                 leaf = EdRdpLeaf(sq, None)
             q = r.read(cbits) - offset
             if abs(q) > offset:
                 raise CorruptionError("coefficient outside the stream alphabet")
             records.append((leaf, q))
-        if len(data) - _HEADER_BYTES != (r.pos + 7) >> 3:
-            raise CorruptionError("bytes after the last record")
-        used = r.pos & 7
-        if used and data[-1] & (0xFF >> used):
-            raise CorruptionError("non-zero padding bits")
+        tail = r.bits[r.pos:]
+        if len(tail) >= 8 or "1" in tail:
+            raise CorruptionError("bytes or set padding bits after the last record")
         return cls(J, K, m_cap, tuple(records))
 
 

@@ -24,18 +24,28 @@ picks fails here.
 """
 
 import math
+import struct
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
 from approxrate.constructors import build_bspline_net
-from approxrate.exceptions import CorruptionError
+from approxrate.exceptions import CorruptionError, DegenerateWedgeError, FormatError
 from approxrate.nnet import network_to_json, relu_power
 from approxrate.quantizer import find_min_m, quantize_weights, weight_range_exponent
-from approxrate.wedgelet import WedgeCode, encode, encode_to_target, vertex_budget
+from approxrate.wedgelet import (
+    WEDGE_FORMAT_VERSION,
+    WedgeCode,
+    decode,
+    encode,
+    encode_to_target,
+    vertex_budget,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N, J = 64, 6
@@ -131,3 +141,59 @@ def test_from_bytes_refuses_a_coefficient_outside_the_alphabet():
     for field in (131, 255):
         with pytest.raises(CorruptionError):
             WedgeCode.from_bytes(_one_leaf_stream(field))
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_every_proper_prefix_is_refused(name):
+    data = (GOLDEN / name).read_bytes()
+    for end in range(len(data)):
+        with pytest.raises(CorruptionError):
+            WedgeCode.from_bytes(data[:end])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 255),
+       st.integers(1, 16).map(lambda k: 4 * k) | st.integers(0, 0xFFFF),
+       st.integers(0, 3) | st.integers(0, 0xFFFFFFFF), st.binary(max_size=24))
+def test_a_hostile_stream_parses_and_decodes_or_raises_a_typed_error(
+        J, K, m_cap, count, payload):
+    # J <= 5, so no decode allocates more than 32 x 32
+    _parse_and_decode(b"WDGL" + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, J, K,
+                                            m_cap, count) + payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STREAMS),
+       st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 7)),
+                min_size=1, max_size=3))
+def test_a_golden_stream_with_flipped_payload_bits_decodes_or_raises_a_typed_error(
+        name, flips):
+    # most flipped streams parse, so this reaches decode's checks:
+    # overlapping squares and degenerate pairs
+    data = bytearray((GOLDEN / name).read_bytes())
+    for at, bit in flips:
+        data[13 + at % (len(data) - 13)] ^= 1 << bit
+    _parse_and_decode(bytes(data))
+
+
+def _parse_and_decode(data):
+    """``decode(WedgeCode.from_bytes(data))`` raises nothing but a typed
+    error, and a stream that parses packs back to ``data``."""
+    try:
+        code = WedgeCode.from_bytes(data)
+    except FormatError:
+        return
+    assert code.to_bytes() == data
+    try:
+        out = decode(code)
+    except (FormatError, DegenerateWedgeError):
+        return
+    assert out.shape == (code.n, code.n)
+
+
+@pytest.mark.parametrize("m_cap", [0, 6, 34])
+def test_from_bytes_refuses_an_invalid_vertex_cap_before_the_records(m_cap):
+    data = _one_leaf_stream(65)  # one unsplit leaf, which needs no M_j
+    assert WedgeCode.from_bytes(data).m_cap == 8
+    with pytest.raises(FormatError):
+        WedgeCode.from_bytes(data[:7] + struct.pack("<H", m_cap) + data[9:])

@@ -445,3 +445,27 @@ def test_decode_refuses_either_side_of_a_degenerate_pair():
         code = WedgeCode(3, 3, 32, ((EdRdpLeaf(sq, (edge, side)), 5),))
         with pytest.raises(DegenerateWedgeError):
             decode(code)
+
+
+def _split_leaf(sq, edge_square, m_count, side=0):
+    return EdRdpLeaf(sq, (Edgelet(edge_square, 1, 5, m_count), side))
+
+
+@pytest.mark.parametrize("J,K,leaf", [
+    # M_j is 32 at j = 1, so an edgelet of 64 vertices would read back as
+    # another one
+    (3, 3, _split_leaf(DyadicSquare(1, 0, 0), DyadicSquare(1, 0, 0), 64)),
+    # a leaf below the pixel scale has no vertex budget
+    (3, 0, _split_leaf(DyadicSquare(4, 0, 0), DyadicSquare(4, 0, 0), 32)),
+    (3, 0, EdRdpLeaf(DyadicSquare(4, 0, 0))),
+    # the stream stores only the leaf's square
+    (3, 3, _split_leaf(DyadicSquare(1, 0, 0), DyadicSquare(1, 1, 0), 32)),
+    # the side is one bit
+    (3, 3, _split_leaf(DyadicSquare(1, 0, 0), DyadicSquare(1, 0, 0), 32, side=2)),
+])
+def test_code_refuses_a_leaf_its_header_cannot_carry(J, K, leaf):
+    code = WedgeCode(J, K, 32, ((leaf, 5),))
+    for measure in (lambda: code.to_bytes(), lambda: code.bit_length):
+        with pytest.raises(FormatError):
+            measure()
+
