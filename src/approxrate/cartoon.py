@@ -100,12 +100,6 @@ class RadiusFunction:
             return out
         return np.interp(np.mod(theta, TWO_PI), self.thetas, self.derivs)
 
-    def max_value(self, grid=4096):
-        return float(np.max(self(_dense_thetas(self, grid))))
-
-    def min_value(self, grid=4096):
-        return float(np.min(self(_dense_thetas(self, grid))))
-
 
 def _dense_thetas(radius: RadiusFunction, grid):
     base = np.linspace(0.0, TWO_PI, int(grid), endpoint=False)

@@ -68,12 +68,6 @@ class BuildReport:
             if not (math.isfinite(value) and value > 0):
                 raise BuilderError(f"internal constant {name} = {value} invalid")
 
-    def constant(self, name):
-        for key, value in self.internal_constants:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def _chain_net(weights, spec):
     """Single chain x -> w1 x -> rho -> w2 . -> rho ... -> wn ."""
@@ -137,13 +131,7 @@ def _scaled_chain(L, eps, D, spec):
 
 def build_p1(eps, D, spec: ActivationSpec) -> BuildReport:
     """Two-weight net matching x_+^k on [-D, D] within eps."""
-    _check_eps(eps)
-    D_eff = max(float(D), 1.0)
-    eps_unit = eps * D_eff ** (-spec.k)
-    w_in, w_out, delta, B = _p11_weights(eps_unit, spec)
-    net = _chain_net([w_in / D_eff, w_out * D_eff ** spec.k], spec)
-    return BuildReport(net, 2, 2, eps, float(D),
-                       (("delta", delta), ("B", B)))
+    return build_plus_power(1, eps, D, spec)
 
 
 def build_plus_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
@@ -332,8 +320,6 @@ def _scale_io(net: Network, in_scale, out_scale) -> Network:
         first.in_dim, first.out_dim,
         tuple((r, c, v * in_scale) for r, c, v in first.edge_weights),
         first.node_weights)
-    if len(net.steps) == 1:
-        raise BuilderError("cannot scale a single-step network")
     new_last = AffineStep(
         last.in_dim, last.out_dim,
         tuple((r, c, v * out_scale) for r, c, v in last.edge_weights),
@@ -464,11 +450,8 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
         amplify = s_b * D_copy ** (m - 1) * s_a * K * (K + 2.0) ** (K - 1)
         mass = k ** k * s_alpha * math.sqrt(D_copy * k)
         psi_n = _next_pow2((2.0 * amplify * mass / eps) ** (2.0 / 3.0))
-    copies = []
-    for _ in b:
-        net_j, _, _, consts = _monomial_net(m, eta, D_copy, spec, L, psi_n=psi_n)
-        copies.append(net_j)
-    net = parallel_compose(copies, b, [-j for j in range(m + 1)])
+    copy, _, _, consts = _monomial_net(m, eta, D_copy, spec, L, psi_n=psi_n)
+    net = parallel_compose([copy] * (m + 1), b, [-j for j in range(m + 1)])
     bound = (m + 1) * (K + 1) * (3 * k + 2 * L + 8)
     consts = consts + (("eta_term", eta),)
     return BuildReport(net, L + 2, bound, eps, D, consts)

@@ -256,9 +256,11 @@ def evaluate(net: Network, x) -> np.ndarray:
 def evaluate_batch(net: Network, xs) -> np.ndarray:
     """Evaluate on a (input_dim, n) batch; returns (output_dim, n).
 
-    Power activations run through compensated (double-double) arithmetic:
+    Every network runs through compensated (double-double) arithmetic:
     the explicit constructions sum terms of size far beyond 1/eps that
-    cancel to order one, which raw float64 cannot survive.
+    cancel to order one, which raw float64 cannot survive.  Only the
+    sigmoid of ``logistic_power`` is taken in float64.  Each output column
+    depends only on its own input column.
     """
     z = np.asarray(xs, dtype=float)
     if z.ndim != 2 or z.shape[0] != net.input_dim:
@@ -266,16 +268,7 @@ def evaluate_batch(net: Network, xs) -> np.ndarray:
             f"expected batch of shape ({net.input_dim}, n), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise InputShapeError("batch contains non-finite entries")
-    if net.activation.kind == "relu_power":
-        return _evaluate_dd(net, z)
-    last = len(net.steps) - 1
-    for layer, step in enumerate(net.steps):
-        z = step.matrix() @ z + step.bias()[:, None]
-        if layer != last:
-            z = net.activation(z)
-        if not np.all(np.isfinite(z)):
-            raise EvalOverflowError(f"non-finite value after layer {layer + 1}")
-    return z
+    return _evaluate_dd(net, z)
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker's constant
@@ -318,18 +311,21 @@ def _dd_scale(xh, xl, c):
     return _quick_two_sum(ph, pl + c * xl)
 
 
-def _dd_relu_pow(zh, zl, k):
-    keep = (zh > 0.0) | ((zh == 0.0) & (zl > 0.0))
-    h = np.where(keep, zh, 0.0)
-    l = np.where(keep, zl, 0.0)
-    rh, rl = h, l
-    for _ in range(k - 1):
-        rh, rl = _dd_mul(rh, rl, h, l)
+def _dd_activation(spec: ActivationSpec, zh, zl):
+    """rho(z) in double-double: the positive part for ``relu_power``, then
+    the k-th power, times sigmoid of the high word for ``logistic_power``."""
+    if spec.kind == "relu_power":
+        keep = (zh > 0.0) | ((zh == 0.0) & (zl > 0.0))
+        zh, zl = np.where(keep, zh, 0.0), np.where(keep, zl, 0.0)
+    rh, rl = zh, zl
+    for _ in range(spec.k - 1):
+        rh, rl = _dd_mul(rh, rl, zh, zl)
+    if spec.kind == "logistic_power":
+        rh, rl = _dd_scale(rh, rl, _sigmoid(zh))
     return rh, rl
 
 
 def _evaluate_dd(net: Network, z: np.ndarray) -> np.ndarray:
-    k = net.activation.k
     zh = z.astype(float)
     zl = np.zeros_like(zh)
     batch = zh.shape[1]
@@ -349,7 +345,7 @@ def _evaluate_dd(net: Network, z: np.ndarray) -> np.ndarray:
             if not np.all(np.isfinite(oh)):
                 raise EvalOverflowError(f"non-finite value after layer {layer + 1}")
             if layer != last:
-                oh, ol = _dd_relu_pow(oh, ol, k)
+                oh, ol = _dd_activation(net.activation, oh, ol)
                 if not np.all(np.isfinite(oh)):
                     raise EvalOverflowError(
                         f"non-finite value after layer {layer + 1}")

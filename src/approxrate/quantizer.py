@@ -126,9 +126,9 @@ def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = 10_000,
 
     Each m is screened on every 16th grid point first and rejected there
     if the screen alone exceeds eta; only an m that passes is evaluated on
-    the remaining points.  The double-double evaluator of ``relu_power``
-    nets works point by point, so there the screen's errors are those of a
-    full-grid pass and the returned m is the one a full-grid search returns.
+    the remaining points.  The evaluator works point by point, so the
+    screen's errors are those of a full-grid pass and the returned m is
+    the one a full-grid search returns.
     """
     _check_eta(eta)
     xs = _quantization_grid(net.input_dim, D, grid)

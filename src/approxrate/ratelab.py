@@ -23,7 +23,6 @@ from .nnet import Network, evaluate_batch
 
 __all__ = [
     "RateReport",
-    "measure_error",
     "sup_error_on_grid",
     "l2_error_quad",
     "l2_error_pixels",
@@ -72,19 +71,6 @@ def l2_error_pixels(a, b) -> float:
     if a.shape != b.shape:
         raise ResolutionMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-def measure_error(candidate, target, domain, norm: str) -> float:
-    """Dispatch on the declared norm: sup_grid, l2_quad, or l2_pixels."""
-    if norm == "sup_grid":
-        lo, hi = domain
-        return sup_error_on_grid(candidate, target, lo, hi)
-    if norm == "l2_quad":
-        lo, hi = domain
-        return l2_error_quad(candidate, target, lo, hi)
-    if norm == "l2_pixels":
-        return l2_error_pixels(candidate, target)
-    raise DomainError(f"unknown norm {norm!r}")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ CODEC_SUPERSAMPLE = 4
 WEDGE_FORMAT_VERSION = 1
 _MAGIC = b"WDGL"
 _HEADER_BYTES = 13  # magic, then version, J, K, M_cap and record count
+_MAX_J = 12  # n = 4096: a decoded image takes 128 MiB
 _SWEEPS = 16  # bisection steps of encode_to_target
 _SAMPLES = CODEC_SUPERSAMPLE * CODEC_SUPERSAMPLE  # mask samples per pixel
 _DENSE_MAX = 8  # blocks up to this size keep their split masks dense
@@ -205,30 +206,23 @@ class EdRdp:
         return int(math.log2(self.n))
 
     def validate(self):
-        """Quadtree structural check: leaves tile the unit square."""
-        leafset = {}
-        for leaf in self.leaves:
-            key = (leaf.square.j, leaf.square.ix, leaf.square.iy)
-            leafset.setdefault(key, []).append(leaf)
-        J = self.J
+        """Quadtree structural check: leaves tile the unit square.
 
-        def covered(sq: DyadicSquare):
-            key = (sq.j, sq.ix, sq.iy)
-            if key in leafset:
-                group = leafset[key]
-                if len(group) == 1 and group[0].split is None:
-                    return True
-                if len(group) == 2 and all(l.split is not None for l in group):
-                    sides = {l.side for l in group}
-                    eds = {l.edgelet for l in group}
-                    return sides == {0, 1} and len(eds) == 1
-                return False
-            if sq.j >= J:
-                return False
-            return all(covered(c) for c in sq.children())
-
-        if not covered(DyadicSquare(0, 0, 0)):
-            raise FormatError("leaves do not form a valid partition")
+        Leaves may overlap only as the two sides of one edgelet on one
+        square, every split leaf needs its other side, and the leaves'
+        areas, each square counted once, must sum to 1; anything else is a
+        ``FormatError``.
+        """
+        try:
+            table = _Leaves.of(self.leaves, self.n)
+        except InputShapeError as exc:
+            raise FormatError(str(exc)) from exc
+        partner = table.partners()
+        if np.any((table.local >= 0) & (partner < 0)):
+            raise FormatError("a split square needs both sides of one edgelet")
+        once = (partner < 0) | (table.side == 0)
+        if (1 << 2 * (table.J - table.j[once])).sum() != 1 << 2 * table.J:
+            raise FormatError("leaves do not cover the unit square")
         return True
 
 
@@ -369,22 +363,24 @@ class _Leaves:
         rows = []
         for leaf in leaves:
             sq, split = leaf.square, leaf.split
+            if split is not None and split[1] not in (0, 1):
+                raise FormatError(f"side {split[1]!r} of a split leaf is not 0 or 1")
             rows.append((sq.j, sq.ix, sq.iy, 0, -1, 0) if split is None else
                         (sq.j, sq.ix, sq.iy, split[0].m_count, split[0].local_index,
-                         split[1] != 0))
+                         split[1]))
         cols = np.array(rows, dtype=np.int64).reshape(-1, 6).T
         if np.any(cols[0] > J):
             raise InputShapeError("leaf square finer than the pixel grid")
         return cls(J, *cols)
 
-    def partners(self, disjoint: bool):
+    def partners(self):
         """Index of the leaf on the other side of each leaf's square, or -1.
 
-        Leaves that share a square must be sides 0 and 1 of one edgelet,
-        else ``FormatError``.  With ``disjoint`` any other overlap, a square
-        inside another included, is refused as ``CorruptionError``.  Each
-        square is a run of Z-order codes at the pixel scale, so sorting by
-        its first code puts every overlap between neighbours.
+        Leaves may overlap only as sides 0 and 1 of one edgelet on one
+        square; any other overlap, a square inside another included, is a
+        ``CorruptionError``.  Each square is a run of Z-order codes at the
+        pixel scale, so sorting by its first code puts every overlap
+        between neighbours.
         """
         shift = self.J - self.j
         x, y = self.ix << shift, self.iy << shift
@@ -394,13 +390,11 @@ class _Leaves:
         order = np.lexsort((self.side, self.j, start))
         a, b = order[:-1], order[1:]
         overlap = start[b] < start[a] + (1 << 2 * shift[a])
-        shared = overlap & (self.j[a] == self.j[b])
-        pair = shared & (self.local[a] >= 0) & (self.local[a] == self.local[b]) \
-            & (self.m[a] == self.m[b]) & (self.side[a] < self.side[b])
-        if disjoint and np.any(overlap & ~pair):
-            raise CorruptionError("overlapping leaves in stream")
-        if np.any(shared & ~pair):
-            raise FormatError("a split square needs both sides of one edgelet")
+        pair = overlap & (self.j[a] == self.j[b]) & (self.local[a] >= 0) \
+            & (self.local[a] == self.local[b]) & (self.m[a] == self.m[b]) \
+            & (self.side[a] < self.side[b])
+        if np.any(overlap & ~pair):
+            raise CorruptionError("overlapping leaves")
         partner = np.full(self.j.size, -1)
         partner[a[pair]], partner[b[pair]] = b[pair], a[pair]
         return partner
@@ -430,14 +424,15 @@ def project(f_array, partition: EdRdp):
 
     Masks of distinct squares have disjoint pixel support; the two sides
     of one split square share the pixels the edgelet crosses, so those
-    pairs are solved through their 2x2 normal equations.  A whole scale is
-    solved at once, with masks and Grams from the edgelet dictionary.
+    pairs are solved through their 2x2 normal equations.  Any other
+    overlap is a ``CorruptionError``.  A whole scale is solved at once,
+    with masks and Grams from the edgelet dictionary.
     """
     f = _check_array(f_array, partition.n)
     n = partition.n
     norm = 1.0 / (n * n)
     table = _Leaves.of(partition.leaves, n)
-    partner = table.partners(disjoint=False)
+    partner = table.partners()
     v = np.zeros(partner.size)
     coefs = np.zeros(partner.size)
     thetas = np.zeros(partner.size)
@@ -816,6 +811,7 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     prefer smaller edgelet indices, then the unsplit leaf, then the leaf
     over the quad, so results are reproducible bit for bit.
     """
+    _layout(J, K, m_cap)  # a header no stream can carry is refused unfitted
     f = _check_array(f_array, 1 << J)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
@@ -853,8 +849,16 @@ def _layout(J: int, K: int, m_cap: int):
 
     (scale width, coefficient width, coefficient offset n^2 + 1, splits),
     where splits[j] = (M_j, edgelet index width, pair count) for scales
-    j = 0..J.  An invalid M_cap is a ``FormatError``.
+    j = 0..J.  A header the stream cannot carry is a ``FormatError``: J
+    outside 0.._MAX_J, K outside a byte, or M_cap not a multiple of 4 in
+    4..65532.
     """
+    if not 0 <= J <= _MAX_J:
+        raise FormatError(f"J = {J} outside 0..{_MAX_J}")
+    if not 0 <= K <= 0xFF:
+        raise FormatError(f"K = {K} does not fit in a byte")
+    if m_cap > 0xFFFF:
+        raise FormatError(f"M_cap = {m_cap} does not fit in two bytes")
     offset = (1 << 2 * J) + 1
     splits = []
     for j in range(J + 1):
@@ -940,8 +944,6 @@ class WedgeCode:
         version, J, K, m_cap, count = struct.unpack("<BBBHI", data[4:_HEADER_BYTES])
         if version != WEDGE_FORMAT_VERSION:
             raise CorruptionError(f"unsupported version {version}")
-        if J > 15:
-            raise CorruptionError("implausible pixel scale in header")
         sbits, cbits, offset, splits = _layout(J, K, m_cap)
         r = _BitReader(data[_HEADER_BYTES:])
         records = []
@@ -975,7 +977,7 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     Coefficients are taken against unit-normalized masks, rounded to the
     nearest multiple of eta = n^-2 with ties toward zero.
     """
-    f = _check_array(f_array, 1 << J)
+    f = np.asarray(f_array, dtype=float)  # fit_rdp checks it
     return _quantize(f, fit_rdp(f, J, K, m_cap, lam))
 
 
@@ -1003,17 +1005,19 @@ def _round_half_toward_zero(x: float) -> int:
 def decode(code: WedgeCode) -> np.ndarray:
     """Reconstruct sum_theta_P phi_P; lossless given the stored integers.
 
-    Record squares must be disjoint, except that one square may carry
+    A header no stream can carry is a ``FormatError`` before the image is
+    allocated.  Record squares must be disjoint, except that one square may carry
     sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
     found before any mask is drawn, so the masks never take more than
     2 n^2 values.  A whole scale is drawn at once, from the edgelet
     dictionary; a decode that finds no entry built draws only the
     edgelets its records name.
     """
+    _layout(code.J, code.K, code.m_cap)
     n = code.n
     norm = 1.0 / (n * n)
     table = _Leaves.of([leaf for leaf, _ in code.records], n)
-    table.partners(disjoint=True)
+    table.partners()
     theta = np.array([q for _, q in code.records], dtype=np.float64) * code.eta
     out = np.zeros((n, n))
     for j, whole, cut in table.scales():
@@ -1037,6 +1041,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     (code, error, reached); when the target is unreachable even at zero
     penalty the best-effort code comes back with reached = False.
     """
+    _layout(J, K, m_cap)
     n = 1 << J
     f = _check_array(f_array, n)
     # NaN would slip through both comparisons with err below

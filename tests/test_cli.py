@@ -39,6 +39,17 @@ def test_build_writes_net_and_certificate(tmp_path):
     assert cert["connectivity"] <= cert["claimed_connectivity_bound"]
 
 
+def test_build_logistic_net_meets_its_certificate(tmp_path):
+    net_path = tmp_path / "net.json"
+    cert_path = tmp_path / "cert.json"
+    rc = run(["build", "--target", "relu", "--k", "2", "--activation",
+              "logistic_power", "--eps", "0.2", "--out", str(net_path),
+              "--cert", str(cert_path)])
+    assert rc == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["measured_error"] <= cert["claimed_eps"]
+
+
 def test_quantize_roundtrip(tmp_path):
     net_path = tmp_path / "net.json"
     run(["build", "--target", "relu", "--k", "2", "--eps", "0.05",

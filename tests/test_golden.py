@@ -25,6 +25,7 @@ picks fails here.
 
 import math
 import struct
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approxrate import wedgelet
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
 from approxrate.constructors import build_bspline_net
 from approxrate.exceptions import CorruptionError, DegenerateWedgeError, FormatError
@@ -197,3 +199,31 @@ def test_from_bytes_refuses_an_invalid_vertex_cap_before_the_records(m_cap):
     assert WedgeCode.from_bytes(data).m_cap == 8
     with pytest.raises(FormatError):
         WedgeCode.from_bytes(data[:7] + struct.pack("<H", m_cap) + data[9:])
+
+
+@pytest.mark.parametrize("J,K,m_cap", [(1, 1, 65536), (1, 300, 32), (-1, 0, 32)])
+def test_encode_refuses_a_header_it_cannot_write_before_fitting(J, K, m_cap, monkeypatch):
+    def scored(*args):
+        raise AssertionError("the image was scored before the header check")
+
+    monkeypatch.setattr(wedgelet, "_tiles", scored)
+    f = np.full((2, 2), 0.5)
+    with pytest.raises(FormatError):
+        encode(f, J, K, m_cap)
+    with pytest.raises(FormatError):
+        encode_to_target(f, J, K, m_cap, 0.1)
+
+
+def test_a_pixel_scale_above_the_cap_is_refused_without_allocating():
+    J = wedgelet._MAX_J + 1
+    header = b"WDGL" + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, J, J, 32, 0)
+    with pytest.raises(FormatError):
+        WedgeCode.from_bytes(header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            decode(WedgeCode(J, J, 32, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # n^2 float64 values would take 512 MiB

@@ -17,17 +17,17 @@ from approxrate.ratelab import (
     empirical_minimax_length,
     fit_rate,
     l2_error_pixels,
-    measure_error,
+    l2_error_quad,
     sup_error_on_grid,
 )
 from approxrate.splines import bspline_closed
 
 
-def test_measure_error_trivials():
+def test_l2_error_pixels_trivials():
     f = np.zeros((8, 8))
-    assert measure_error(f, f.copy(), None, "l2_pixels") == 0.0
+    assert l2_error_pixels(f, f.copy()) == 0.0
     ones = np.ones((8, 8))
-    assert measure_error(ones, np.zeros((8, 8)), None, "l2_pixels") == 1.0
+    assert l2_error_pixels(ones, np.zeros((8, 8))) == 1.0
 
 
 def test_measure_error_resolution_mismatch():
@@ -35,15 +35,9 @@ def test_measure_error_resolution_mismatch():
         l2_error_pixels(np.ones((4, 4)), np.ones((8, 8)))
 
 
-def test_measure_error_unknown_norm():
-    with pytest.raises(DomainError):
-        measure_error(np.ones((2, 2)), np.ones((2, 2)), None, "l7")
-
-
-def test_measure_error_bspline_net():
+def test_l2_error_quad_bspline_net():
     rep = build_bspline_net(2, 0.01, 3.0, relu_power(1))
-    err = measure_error(rep.network, lambda x: bspline_closed(2, x),
-                        (-3.0, 3.0), "l2_quad")
+    err = l2_error_quad(rep.network, lambda x: bspline_closed(2, x), -3.0, 3.0)
     assert err <= 1e-10
 
 

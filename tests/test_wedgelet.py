@@ -168,6 +168,33 @@ def test_validate_rejects_partial_cover():
         part.validate()
 
 
+def _quads(j=1):
+    return tuple(EdRdpLeaf(DyadicSquare(j, ix, iy)) for iy in (0, 1) for ix in (0, 1))
+
+
+NESTED = _quads() + (EdRdpLeaf(DyadicSquare(2, 3, 3)),)
+
+
+@pytest.mark.parametrize("leaves", [
+    NESTED,
+    # one side of a split square, without the other
+    _quads()[:3] + (EdRdpLeaf(DyadicSquare(1, 1, 1),
+                              (Edgelet(DyadicSquare(1, 1, 1), 0, 3, 8), 0)),),
+    # leaves finer than the 4 x 4 pixel grid
+    _quads()[:3] + tuple(EdRdpLeaf(DyadicSquare(3, ix, iy))
+                         for iy in (2, 3) for ix in (2, 3)),
+], ids=["nested", "lone-side", "too-fine"])
+def test_validate_refuses_leaf_sets_that_do_not_tile(leaves):
+    assert EdRdp(_quads(), 4, 2, 8).validate()
+    with pytest.raises(FormatError):
+        EdRdp(leaves, 4, 2, 8).validate()
+
+
+def test_project_refuses_a_nested_square():
+    with pytest.raises(CorruptionError):
+        project(np.zeros((4, 4)), EdRdp(NESTED, 4, 2, 8))
+
+
 def test_fit_half_plane_exact():
     # the dictionary contains the corner-to-corner diagonal, so its own
     # averaged indicator is exactly representable by a single split
