@@ -149,9 +149,9 @@ def build_plus_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
 
 def _power_net(L, eps, D, spec, one_sided=False):
     """x^(k^L) via the mirrored pair, or just the positive chain."""
-    plus = _scaled_chain(L, eps / 2.0, D, spec)
     if one_sided:
         return _chain_net(_scaled_chain(L, eps, D, spec), spec)
+    plus = _scaled_chain(L, eps / 2.0, D, spec)
     minus = [-plus[0]] + plus[1:]
     sign = -1.0 if (spec.k ** L) % 2 else 1.0
     return parallel_compose([_chain_net(plus, spec), _chain_net(minus, spec)],

@@ -13,6 +13,7 @@ import numpy as np
 
 from .exceptions import QuantizerError, SearchExhaustedError
 from .nnet import AffineStep, Network, evaluate_batch
+from .wedgelet import _round_half_toward_zero
 
 __all__ = [
     "quantize_weights",
@@ -28,13 +29,6 @@ def _check_eta(eta):
         raise QuantizerError("eta must lie in (0, 1/2]")
 
 
-def _round_toward_zero(ratio: float) -> int:
-    """Nearest integer with .5 ties resolved toward zero."""
-    if ratio >= 0.0:
-        return int(math.ceil(ratio - 0.5))
-    return -int(math.ceil(-ratio - 0.5))
-
-
 def quantize_value(w: float, eta: float, k: int, m: int) -> float:
     """Nearest point of eta^m Z within the clamp range, ties toward zero.
 
@@ -43,7 +37,7 @@ def quantize_value(w: float, eta: float, k: int, m: int) -> float:
     the single extreme grid point is shaved off.
     """
     step = eta ** m
-    q = _round_toward_zero(w / step)
+    q = _round_half_toward_zero(w / step)
     q_cap = min(int(math.floor(eta ** (-(m + k)) * (1.0 + 1e-12))),
                 (1 << (bits_per_weight(eta, k, m) - 1)) - 1)
     q = max(-q_cap, min(q_cap, q))

@@ -208,19 +208,14 @@ class EdRdp:
     def validate(self):
         """Quadtree structural check: leaves tile the unit square.
 
-        Leaves may overlap only as the two sides of one edgelet on one
-        square, every split leaf needs its other side, and the leaves'
-        areas, each square counted once, must sum to 1; anything else is a
-        ``FormatError``.
+        Every leaf must pass the codec's leaf check, leaves may overlap only
+        as the two sides of one edgelet on one square, every split leaf
+        needs its other side, and the leaves' areas, each square counted
+        once, must sum to 1; anything else is a ``FormatError``.
         """
-        try:
-            table = _Leaves.of(self.leaves, self.n)
-        except InputShapeError as exc:
-            raise FormatError(str(exc)) from exc
-        partner = table.partners()
-        if np.any((table.local >= 0) & (partner < 0)):
-            raise FormatError("a split square needs both sides of one edgelet")
-        once = (partner < 0) | (table.side == 0)
+        table = _Leaves.of(self.leaves, self.n, self.K, self.m_cap)
+        table.pairs()
+        once = table.side == 0  # unsplit, or side 0 of a pair
         if (1 << 2 * (table.J - table.j[once])).sum() != 1 << 2 * table.J:
             raise FormatError("leaves do not cover the unit square")
         return True
@@ -347,31 +342,45 @@ class Projection:
 @dataclass(frozen=True)
 class _Leaves:
     """Leaves as int64 columns: square (j, ix, iy), then for a split leaf
-    its edgelet's M_j, local index and side (0, -1 and 0 when unsplit)."""
+    its edgelet's local index and side (-1 and 0 when unsplit).  Every
+    edgelet of scale j has the vertex budget ``budgets[j]``."""
 
     J: int
+    budgets: tuple
     j: np.ndarray
     ix: np.ndarray
     iy: np.ndarray
-    m: np.ndarray
     local: np.ndarray
     side: np.ndarray
 
     @classmethod
-    def of(cls, leaves, n: int) -> "_Leaves":
+    def of(cls, leaves, n: int, K: int, m_cap: int) -> "_Leaves":
+        """The table of ``leaves`` on an n x n grid; the one leaf check.
+
+        A header no stream can carry, a square finer than the pixel grid, a
+        side other than 0 or 1, or an edgelet on another square or with
+        another budget than its scale's M_j is a ``FormatError``.
+        """
         J = _pixel_scale(n)
+        budgets = tuple(m_j for m_j, _, _ in _layout(J, K, m_cap)[3])
         rows = []
         for leaf in leaves:
             sq, split = leaf.square, leaf.split
-            if split is not None and split[1] not in (0, 1):
-                raise FormatError(f"side {split[1]!r} of a split leaf is not 0 or 1")
-            rows.append((sq.j, sq.ix, sq.iy, 0, -1, 0) if split is None else
-                        (sq.j, sq.ix, sq.iy, split[0].m_count, split[0].local_index,
-                         split[1]))
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 6).T
-        if np.any(cols[0] > J):
-            raise InputShapeError("leaf square finer than the pixel grid")
-        return cls(J, *cols)
+            if sq.j > J:
+                raise FormatError("leaf square finer than the pixel grid")
+            if split is None:
+                rows.append((sq.j, sq.ix, sq.iy, -1, 0))
+                continue
+            edge, side = split
+            if side not in (0, 1):
+                raise FormatError(f"side {side!r} of a split leaf is not 0 or 1")
+            # the fit and the reader hand the edgelet its leaf's own square
+            if edge.square is not sq and edge.square != sq \
+                    or edge.m_count != budgets[sq.j]:
+                raise FormatError("edgelet of another square or vertex budget")
+            rows.append((sq.j, sq.ix, sq.iy, edge.local_index, side))
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+        return cls(J, budgets, *cols)
 
     def partners(self):
         """Index of the leaf on the other side of each leaf's square, or -1.
@@ -391,12 +400,19 @@ class _Leaves:
         a, b = order[:-1], order[1:]
         overlap = start[b] < start[a] + (1 << 2 * shift[a])
         pair = overlap & (self.j[a] == self.j[b]) & (self.local[a] >= 0) \
-            & (self.local[a] == self.local[b]) & (self.m[a] == self.m[b]) \
-            & (self.side[a] < self.side[b])
+            & (self.local[a] == self.local[b]) & (self.side[a] < self.side[b])
         if np.any(overlap & ~pair):
             raise CorruptionError("overlapping leaves")
         partner = np.full(self.j.size, -1)
         partner[a[pair]], partner[b[pair]] = b[pair], a[pair]
+        return partner
+
+    def pairs(self):
+        """``partners``, where a split leaf without its other side is a
+        ``FormatError``."""
+        partner = self.partners()
+        if np.any((self.local >= 0) & (partner < 0)):
+            raise FormatError("a split square needs both sides of one edgelet")
         return partner
 
     def scales(self):
@@ -424,15 +440,17 @@ def project(f_array, partition: EdRdp):
 
     Masks of distinct squares have disjoint pixel support; the two sides
     of one split square share the pixels the edgelet crosses, so those
-    pairs are solved through their 2x2 normal equations.  Any other
-    overlap is a ``CorruptionError``.  A whole scale is solved at once,
-    with masks and Grams from the edgelet dictionary.
+    pairs are solved through their 2x2 normal equations.  A leaf the
+    stream could not carry (see ``_Leaves.of``) or a split leaf without
+    its other side is a ``FormatError``; any other overlap is a
+    ``CorruptionError``.  A whole scale is solved at once, with masks and
+    Grams from the edgelet dictionary.
     """
     f = _check_array(f_array, partition.n)
     n = partition.n
     norm = 1.0 / (n * n)
-    table = _Leaves.of(partition.leaves, n)
-    partner = table.partners()
+    table = _Leaves.of(partition.leaves, n, partition.K, partition.m_cap)
+    partner = table.pairs()
     v = np.zeros(partner.size)
     coefs = np.zeros(partner.size)
     thetas = np.zeros(partner.size)
@@ -447,15 +465,12 @@ def project(f_array, partition: EdRdp):
             np.add.at(out, table.windows(whole), coefs[whole, None, None])
         if not cut.size:
             continue
-        masks, (g, g_other, g01, det) = _split_masks(table, cut, size)
+        masks, (g, g_other, g01, det) = _split_masks(table, j, cut)
         g, g_other, g01, det = g * norm, g_other * norm, g01 * norm, det * (norm * norm)
         v[cut] = np.einsum("kij,kij->k", tiles[table.windows(cut)], masks) * norm
-        # the other side of a pair lies in the same square, so in this
-        # scale; an unpaired leaf reads v[-1], which np.where drops
-        v_other = v[partner[cut]]
-        pair = partner[cut] >= 0
-        coefs[cut] = np.where(pair, (g_other * v[cut] - g01 * v_other) / det, v[cut] / g)
-        thetas[cut] = np.where(pair, coefs[cut] * np.sqrt(g), v[cut] / np.sqrt(g))
+        # the other side of a pair lies in the same square, so in this scale
+        coefs[cut] = (g_other * v[cut] - g01 * v[partner[cut]]) / det
+        thetas[cut] = coefs[cut] * np.sqrt(g)
         masks *= coefs[cut, None, None]
         np.add.at(out, table.windows(cut), masks)
     return Projection(partition.leaves, tuple(coefs.tolist()), tuple(thetas.tolist()),
@@ -625,36 +640,26 @@ def _entry(m_j: int, size: int, named):
     return _render(m_j, size, [e for e in edgelets if not _is_degenerate(e[1], e[2], m_j)])
 
 
-def _split_masks(table, sel, size: int):
-    """Masks (k, size, size) of the split leaves ``sel`` of one scale, and
-    their Grams.
+def _split_masks(table, j: int, sel):
+    """Masks (k, size, size) of the split leaves ``sel``, all of scale j,
+    and their Grams.
 
-    The Grams, at norm 1, are per leaf (g, g_other, g01, det): its own
-    mask's, the other side's, their cross term and the pair determinant.
-    A pair missing from its dictionary entry is degenerate or runs along
-    the square's boundary.
+    One dictionary entry holds them all.  The Grams, at norm 1, are per
+    leaf (g, g_other, g01, det): its own mask's, the other side's, their
+    cross term and the pair determinant.  A pair missing from the entry
+    is degenerate or runs along the square's boundary.
     """
-    local, m = table.local[sel], table.m[sel]
-    budgets = np.unique(m)  # one, unless the leaves were made by hand
-    masks = None if budgets.size == 1 else np.empty((sel.size, size, size))
-    grams = np.empty((4, sel.size))
-    for m_j in budgets:
-        at = np.flatnonzero(m == m_j)
-        entry = _entry(int(m_j), size, np.unique(local[at]))
-        pos = np.searchsorted(entry.local, local[at])
-        if np.any(pos == entry.local.size) or np.any(entry.local[pos] != local[at]):
-            raise DegenerateWedgeError("degenerate wedge pair")
-        frac0 = _expand(entry, pos)
-        side1 = table.side[sel[at]] == 1
-        frac0[side1] = 1.0 - frac0[side1]
-        if masks is None:
-            masks = frac0
-        else:
-            masks[at] = frac0
-        g00, g11 = entry.g00[pos], entry.g11[pos]
-        grams[:, at] = (np.where(side1, g11, g00), np.where(side1, g00, g11),
-                        entry.g01[pos], entry.det[pos])
-    return masks, grams
+    local = table.local[sel]
+    entry = _entry(table.budgets[j], 1 << (table.J - j), np.unique(local))
+    pos = np.searchsorted(entry.local, local)
+    if np.any(pos == entry.local.size) or np.any(entry.local[pos] != local):
+        raise DegenerateWedgeError("degenerate wedge pair")
+    masks = _expand(entry, pos)
+    side1 = table.side[sel] == 1
+    masks[side1] = 1.0 - masks[side1]
+    g00, g11 = entry.g00[pos], entry.g11[pos]
+    return masks, (np.where(side1, g11, g00), np.where(side1, g00, g11),
+                   entry.g01[pos], entry.det[pos])
 
 
 def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
@@ -895,45 +900,41 @@ class WedgeCode:
     @property
     def bit_length(self):
         """``8 * len(self.to_bytes())``, summed from the field widths."""
-        bits = sum(width for _, width in self._fields())
+        bits = int(self._fields()[1].sum())
         return 8 * _HEADER_BYTES + (bits + 7) // 8 * 8
 
     def _fields(self):
-        """The payload as (value, width) pairs, in stream order.
+        """The payload as flat value and width arrays, in stream order.
 
-        A leaf the header cannot carry, or a value wider than its field, is
+        A record is scale, ix, iy, split flag, edgelet index, side and
+        coefficient; the index and side of an unsplit leaf are 0 bits wide.
+        A leaf ``_Leaves.of`` refuses, or a value wider than its field, is
         a ``FormatError``; q outside the alphabet is a ``RangeError``.
         """
         sbits, cbits, offset, splits = _layout(self.J, self.K, self.m_cap)
-        fields = []
-        for leaf, q in self.records:
-            sq = leaf.square
-            if sq.j > self.J:
-                raise FormatError("leaf finer than the stream's pixel scale")
-            fields += [(sq.j, sbits), (sq.ix, sq.j), (sq.iy, sq.j)]
-            if leaf.split is None:
-                fields.append((0, 1))
-            else:
-                edge, side = leaf.split
-                m_j, ebits, _ = splits[sq.j]
-                if edge.m_count != m_j or edge.square != sq:
-                    raise FormatError("edgelet of another square or vertex budget")
-                fields += [(1, 1), (edge.local_index, ebits), (side, 1)]
-            if not 0 <= q + offset <= 2 * offset:
-                raise RangeError("coefficient outside the stream alphabet")
-            fields.append((q + offset, cbits))
-        for value, width in fields:
-            if not 0 <= value < 1 << width:
-                raise FormatError(f"value {value} does not fit in {width} bits")
-        return fields
+        table = _Leaves.of([leaf for leaf, _ in self.records], self.n, self.K,
+                           self.m_cap)
+        qs = [q for _, q in self.records]
+        if not all(isinstance(q, (int, np.integer)) and -offset <= q <= offset
+                   for q in qs):
+            raise RangeError("coefficient outside the stream alphabet")
+        split, one = table.local >= 0, np.ones_like(table.j)
+        ebits = np.array([width for _, width, _ in splits])[table.j] * split
+        values = np.stack([table.j, table.ix, table.iy, split, table.local * split,
+                           table.side, np.array(qs, dtype=np.int64) + offset], axis=1)
+        widths = np.stack([sbits * one, table.j, table.j, one, ebits, split, cbits * one],
+                          axis=1)
+        if np.any((values < 0) | (values >= 1 << widths)):
+            raise FormatError("a value does not fit in its field")
+        return values.ravel(), widths.ravel()
 
     def to_bytes(self) -> bytes:
         header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
                                       self.K, self.m_cap, len(self.records))
-        bits = "".join(format(value, f"0{width}b") for value, width in self._fields()
-                       if width)
-        bits += "0" * (-len(bits) % 8)
-        return header + int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+        values, widths = self._fields()
+        ends = np.repeat(np.cumsum(widths), widths)  # where each bit's field ends
+        bits = np.repeat(values, widths) >> (ends - 1 - np.arange(ends.size)) & 1
+        return header + np.packbits(bits.astype(np.uint8)).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WedgeCode":
@@ -997,6 +998,7 @@ def _quantize(f, partition: EdRdp) -> WedgeCode:
 
 
 def _round_half_toward_zero(x: float) -> int:
+    """Nearest integer with .5 ties resolved toward zero."""
     if x >= 0.0:
         return int(math.ceil(x - 0.5))
     return -int(math.ceil(-x - 0.5))
@@ -1005,18 +1007,19 @@ def _round_half_toward_zero(x: float) -> int:
 def decode(code: WedgeCode) -> np.ndarray:
     """Reconstruct sum_theta_P phi_P; lossless given the stored integers.
 
-    A header no stream can carry is a ``FormatError`` before the image is
-    allocated.  Record squares must be disjoint, except that one square may carry
+    A header no stream can carry, or a leaf it could not carry (see
+    ``_Leaves.of``), is a ``FormatError`` before the image is allocated.
+    Record squares must be disjoint, except that one square may carry
     sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
     found before any mask is drawn, so the masks never take more than
-    2 n^2 values.  A whole scale is drawn at once, from the edgelet
-    dictionary; a decode that finds no entry built draws only the
-    edgelets its records name.
+    2 n^2 values.  A lone side is legal, as streams drop q = 0 records.
+    A whole scale is drawn at once, from the edgelet dictionary; a decode
+    that finds no entry built draws only the edgelets its records name.
     """
     _layout(code.J, code.K, code.m_cap)
     n = code.n
     norm = 1.0 / (n * n)
-    table = _Leaves.of([leaf for leaf, _ in code.records], n)
+    table = _Leaves.of([leaf for leaf, _ in code.records], n, code.K, code.m_cap)
     table.partners()
     theta = np.array([q for _, q in code.records], dtype=np.float64) * code.eta
     out = np.zeros((n, n))
@@ -1026,7 +1029,7 @@ def decode(code: WedgeCode) -> np.ndarray:
         scale = theta[whole] / np.sqrt(size * size * norm)
         np.add.at(tiles, table.windows(whole), scale[:, None, None])
         if cut.size:
-            masks, grams = _split_masks(table, cut, size)
+            masks, grams = _split_masks(table, j, cut)
             masks *= (theta[cut] / np.sqrt(grams[0] * norm))[:, None, None]
             np.add.at(tiles, table.windows(cut), masks)
     return out

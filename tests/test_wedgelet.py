@@ -177,7 +177,9 @@ NESTED = _quads() + (EdRdpLeaf(DyadicSquare(2, 3, 3)),)
 
 @pytest.mark.parametrize("leaves", [
     NESTED,
-    # one side of a split square, without the other
+    # one side of a split square, without the other; decode still takes
+    # one, as streams drop q = 0 records (the golden disc64_* and
+    # petals64_lam streams hold 2, 3 and 16 lone sides)
     _quads()[:3] + (EdRdpLeaf(DyadicSquare(1, 1, 1),
                               (Edgelet(DyadicSquare(1, 1, 1), 0, 3, 8), 0)),),
     # leaves finer than the 4 x 4 pixel grid
@@ -186,8 +188,10 @@ NESTED = _quads() + (EdRdpLeaf(DyadicSquare(2, 3, 3)),)
 ], ids=["nested", "lone-side", "too-fine"])
 def test_validate_refuses_leaf_sets_that_do_not_tile(leaves):
     assert EdRdp(_quads(), 4, 2, 8).validate()
-    with pytest.raises(FormatError):
-        EdRdp(leaves, 4, 2, 8).validate()
+    for check in (lambda part: part.validate(),
+                  lambda part: project(np.zeros((4, 4)), part)):
+        with pytest.raises(FormatError):
+            check(EdRdp(leaves, 4, 2, 8))
 
 
 def test_project_refuses_a_nested_square():
@@ -491,8 +495,17 @@ def _split_leaf(sq, edge_square, m_count, side=0):
     (3, 3, _split_leaf(DyadicSquare(1, 0, 0), DyadicSquare(1, 0, 0), 32, side=2)),
 ])
 def test_code_refuses_a_leaf_its_header_cannot_carry(J, K, leaf):
-    code = WedgeCode(J, K, 32, ((leaf, 5),))
-    for measure in (lambda: code.to_bytes(), lambda: code.bit_length):
+    # with the other side of its split and the other squares of scale 1, a
+    # leaf of scale 1 tiles the unit square, so only the leaf check refuses
+    leaves = (leaf,) + tuple(q for q in _quads() if q.square != DyadicSquare(1, 0, 0))
+    if leaf.split is not None:
+        edge, side = leaf.split
+        leaves += (EdRdpLeaf(leaf.square, (edge, int(side == 0))),)
+    code = WedgeCode(J, K, 32, tuple((each, 5) for each in leaves))
+    part = EdRdp(leaves, 1 << J, K, 32)
+    for measure in (lambda: code.to_bytes(), lambda: code.bit_length,
+                    lambda: decode(code), lambda: part.validate(),
+                    lambda: project(np.zeros((1 << J, 1 << J)), part)):
         with pytest.raises(FormatError):
             measure()
 
