@@ -25,7 +25,7 @@ import math
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -731,15 +731,58 @@ class _Scores:
     edge: tuple
 
 
+def _constant_squares(f, J: int):
+    """Per scale j < J, which squares are constant and their smallest pixel.
+
+    Two flat arrays per scale, indexed iy * 2^j + ix, built coarse from
+    fine: a square's extreme pixels are the extremes of its four children.
+    """
+    lo = hi = f
+    out = []
+    for _ in range(J):
+        lo = np.minimum(np.minimum(lo[::2, ::2], lo[::2, 1::2]),
+                        np.minimum(lo[1::2, ::2], lo[1::2, 1::2]))
+        hi = np.maximum(np.maximum(hi[::2, ::2], hi[::2, 1::2]),
+                        np.maximum(hi[1::2, ::2], hi[1::2, 1::2]))
+        out.append(((lo == hi).ravel(), lo.ravel()))
+    return out[::-1]
+
+
+def _distinct_squares(const, value):
+    """Which squares of a scale to score, and which scored one stands for each.
+
+    Of the constant squares (``const``, with pixels equal to ``value``)
+    only the first of each distinct value is scored: the others hold the
+    same pixels, so they score the same.  (Zeros of either sign all score
+    +0 at the first valid edgelet.)  Returns (rows, at): the ascending
+    squares to score, and per square the position in ``rows`` of the one
+    that stands for it.  When fewer than an eighth of the squares would
+    drop out, the gather costs about what it saves, so both are
+    ``slice(None)``: every square is scored, with no copy.
+    """
+    _, first, which = np.unique(value[const], return_index=True, return_inverse=True)
+    stand = np.flatnonzero(const)[first]
+    keep = ~const
+    keep[stand] = True
+    rows = np.flatnonzero(keep)
+    if 8 * (const.size - rows.size) < const.size:
+        return slice(None), slice(None)
+    at = np.cumsum(keep) - 1
+    at[const] = at[stand][which]
+    return rows, at
+
+
 def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     """Score every square against the cached edgelet dictionary.
 
     Per square the edgelet with the smallest two-wedge squared error wins;
     ties go to the smaller local index.  The penalty plays no part, so one
-    score serves every lambda.
+    score serves every lambda.  Of the constant squares of a scale, one
+    per distinct value is scored (see ``_distinct_squares``).
     """
     n = 1 << J
     norm = 1.0 / (n * n)
+    constant = _constant_squares(f, J)
     unsplit, split, edge = [], [], []
     for j in range(J + 1):
         size = 1 << (J - j)
@@ -751,8 +794,10 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
         unsplit.append((sumsq - sums * sums / (size * size)) * norm)
         if j < J:
             masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
-            best, best_idx = _best_splits(blocks.reshape(nsq, -1), sums, sumsq,
-                                          masks, norm)
+            rows, at = _distinct_squares(*constant[j])
+            best, best_idx = _best_splits(blocks.reshape(nsq, -1)[rows], sums[rows],
+                                          sumsq[rows], masks, norm)
+            best, best_idx = best[at], best_idx[at]
         else:
             best, best_idx = np.full(nsq, np.inf), np.full(nsq, -1, dtype=np.int64)
         split.append(best)
@@ -897,7 +942,7 @@ class WedgeCode:
     def eta(self):
         return 1.0 / (self.n * self.n)
 
-    @property
+    @cached_property
     def bit_length(self):
         """``8 * len(self.to_bytes())``, summed from the field widths."""
         bits = int(self._fields()[1].sum())
@@ -914,14 +959,11 @@ class WedgeCode:
         sbits, cbits, offset, splits = _layout(self.J, self.K, self.m_cap)
         table = _Leaves.of([leaf for leaf, _ in self.records], self.n, self.K,
                            self.m_cap)
-        qs = [q for _, q in self.records]
-        if not all(isinstance(q, (int, np.integer)) and -offset <= q <= offset
-                   for q in qs):
-            raise RangeError("coefficient outside the stream alphabet")
+        qs = _coefficients(self.records, offset)
         split, one = table.local >= 0, np.ones_like(table.j)
         ebits = np.array([width for _, width, _ in splits])[table.j] * split
         values = np.stack([table.j, table.ix, table.iy, split, table.local * split,
-                           table.side, np.array(qs, dtype=np.int64) + offset], axis=1)
+                           table.side, qs + offset], axis=1)
         widths = np.stack([sbits * one, table.j, table.j, one, ebits, split, cbits * one],
                           axis=1)
         if np.any((values < 0) | (values >= 1 << widths)):
@@ -971,6 +1013,19 @@ class WedgeCode:
         return cls(J, K, m_cap, tuple(records))
 
 
+def _coefficients(records, offset: int):
+    """The records' integer coefficients q as int64; the one coefficient rule.
+
+    Each q must be an integer with |q| <= offset = n^2 + 1, the stream's
+    alphabet; anything else is a ``RangeError``.
+    """
+    qs = [q for _, q in records]
+    if not all(isinstance(q, (int, np.integer)) and -offset <= q <= offset
+               for q in qs):
+        raise RangeError("coefficient outside the stream alphabet")
+    return np.array(qs, dtype=np.int64)
+
+
 def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
            lam: float = 0.0) -> WedgeCode:
     """Fit, project, quantize, and pack; zero coefficients are dropped.
@@ -1008,7 +1063,8 @@ def decode(code: WedgeCode) -> np.ndarray:
     """Reconstruct sum_theta_P phi_P; lossless given the stored integers.
 
     A header no stream can carry, or a leaf it could not carry (see
-    ``_Leaves.of``), is a ``FormatError`` before the image is allocated.
+    ``_Leaves.of``), is a ``FormatError``, and a coefficient outside the
+    stream's alphabet a ``RangeError``, before the image is allocated.
     Record squares must be disjoint, except that one square may carry
     sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
     found before any mask is drawn, so the masks never take more than
@@ -1016,12 +1072,12 @@ def decode(code: WedgeCode) -> np.ndarray:
     A whole scale is drawn at once, from the edgelet dictionary; a decode
     that finds no entry built draws only the edgelets its records name.
     """
-    _layout(code.J, code.K, code.m_cap)
+    offset = _layout(code.J, code.K, code.m_cap)[2]
     n = code.n
     norm = 1.0 / (n * n)
     table = _Leaves.of([leaf for leaf, _ in code.records], n, code.K, code.m_cap)
     table.partners()
-    theta = np.array([q for _, q in code.records], dtype=np.float64) * code.eta
+    theta = _coefficients(code.records, offset) * code.eta
     out = np.zeros((n, n))
     for j, whole, cut in table.scales():
         size = n >> j
@@ -1040,9 +1096,10 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
 
     A larger penalty means fewer leaves, fewer bits, and more error, so we
     push the penalty as high as the target allows.  The image is scored
-    once; each probe only prunes, projects, quantizes and decodes.  Returns
-    (code, error, reached); when the target is unreachable even at zero
-    penalty the best-effort code comes back with reached = False.
+    once; each probe prunes, and only a partition no earlier probe gave is
+    projected, quantized and decoded.  Returns (code, error, reached); when
+    the target is unreachable even at zero penalty the best-effort code
+    comes back with reached = False.
     """
     _layout(J, K, m_cap)
     n = 1 << J
@@ -1051,11 +1108,16 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     if not math.isfinite(target_eps):
         raise DomainError(f"target eps must be finite, got {target_eps!r}")
     scores = _score(f, J, K, m_cap)
+    seen = {}  # leaves of a pruned partition -> (code, err)
 
     def attempt(lam):
-        code = _quantize(f, _prune(scores, lam))
-        err = float(np.sqrt(np.mean((decode(code) - f) ** 2)))
-        return code, err
+        partition = _prune(scores, lam)
+        result = seen.get(partition.leaves)
+        if result is None:
+            code = _quantize(f, partition)
+            err = float(np.sqrt(np.mean((decode(code) - f) ** 2)))
+            result = seen[partition.leaves] = code, err
+        return result
 
     code, err = attempt(0.0)
     if err > target_eps:

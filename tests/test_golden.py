@@ -9,6 +9,18 @@ J = K = 6, M_cap = 32 on two 64 x 64 images, ``rasterize(star, 64, 4)`` of
 - ``<image>64_eps0.05.wdgl``: ``encode_to_target(f, 6, 6, 32, 0.05)[0]
   .to_bytes()``, which reached the target for both images.
 
+The fixtures under ``golden/n128/`` were written at commit e0ed3d4 with
+J = K = 7, M_cap = 32 on 128 x 128 images, ``rasterize(star, 128, 4)`` of
+the disc, of the alternating petal vertex and of the seeded petal vertex
+``vertex_function(make_hypercube(2**-5, 2.0, 1.0), SEEDED)``, whose bits
+are those the benchmark's ``wedge_images(0)`` raises:
+
+- ``<image>_eps0.05.wdgl``: ``encode_to_target(f, 7, 7, 32, 0.05)[0]
+  .to_bytes()``, which reached the target for all three images.
+
+They sit in a folder of their own so that the stream checks below, which
+count the n = 64 fixtures, keep counting those alone.
+
 A change to the fit, the projection, the quantizer or the packing that
 alters any stream fails here.
 
@@ -51,15 +63,17 @@ from approxrate.wedgelet import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N, J = 64, 6
+SEEDED = (1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
-def _image(name):
+def _image(name, n=N):
     if name == "disc":
         star = disc_star()
     else:
         spec = make_hypercube(2.0 ** -5, 2.0, 1.0)
-        star = vertex_function(spec, (1, 0) * (spec.m // 2))
-    return rasterize(star, N, 4)
+        star = vertex_function(spec, SEEDED if name == "seeded"
+                               else (1, 0) * (spec.m // 2))
+    return rasterize(star, n, 4)
 
 
 @pytest.mark.parametrize("name", ["disc", "petals"])
@@ -73,6 +87,13 @@ def test_encode_to_target_matches_golden_stream(name):
     code, _, reached = encode_to_target(_image(name), J, J, 32, 0.05)
     assert reached
     assert code.to_bytes() == (GOLDEN / f"{name}64_eps0.05.wdgl").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "seeded"])
+def test_encode_to_target_matches_golden_stream_at_n128(name):
+    code, _, reached = encode_to_target(_image(name, 128), 7, 7, 32, 0.05)
+    assert reached
+    assert code.to_bytes() == (GOLDEN / "n128" / f"{name}_eps0.05.wdgl").read_bytes()
 
 
 @pytest.mark.parametrize("m,k", [(3, 2), (4, 2), (3, 3)])

@@ -263,3 +263,17 @@ def test_bit_length_refuses_a_coefficient_outside_the_alphabet():
     for measure in (lambda: code.to_bytes(), lambda: code.bit_length):
         with pytest.raises(RangeError):
             measure()
+
+
+@pytest.mark.parametrize("q", [10 ** 6, -19, 1.5])
+def test_decode_refuses_a_coefficient_outside_the_alphabet_before_drawing(q, monkeypatch):
+    # at n = 4 the alphabet is |q| <= 17; 10^6 once decoded to 62500.0
+    code = WedgeCode(2, 2, 8, ((EdRdpLeaf(DyadicSquare(0, 0, 0)), q),))
+
+    def drawn(*args):
+        raise AssertionError("decode drew the image before the coefficient check")
+
+    monkeypatch.setattr(wedgelet, "_tiles", drawn)
+    for measure in (lambda: decode(code), lambda: code.to_bytes()):
+        with pytest.raises(RangeError):
+            measure()

@@ -179,3 +179,60 @@ def test_second_score_renders_no_mask(monkeypatch):
     # the entries are position-free, so a coarser grid shares them too
     _score(rasterize(disc_star(), 16, 4), 4, 4, 32)
     assert calls == []
+
+
+def _full_pass(f, J, K, m_cap):
+    """Per scale j < J, ``_best_splits`` over every square, none shared."""
+    n = 1 << J
+    out = []
+    for j in range(J):
+        size = n >> j
+        blocks = _blocks(f, j, size)
+        masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
+        out.append(wedgelet._best_splits(
+            blocks.reshape(len(blocks), -1), blocks.sum(axis=(1, 2)),
+            (blocks * blocks).sum(axis=(1, 2)), masks, 1.0 / (n * n)))
+    return out
+
+
+def _shared_scales(f, J):
+    """Scales on which ``_score`` scores a constant square for others."""
+    constant = wedgelet._constant_squares(f, J)
+    return [j for j in range(J)
+            if isinstance(wedgelet._distinct_squares(*constant[j])[0], np.ndarray)]
+
+
+def _constant_patches(n):
+    """8 x 8 patches of five constant values, two of them zeros of either
+    sign and two not dyadic, with a noisy quarter."""
+    rng = np.random.default_rng(3)
+    values = np.array([0.0, -0.0, 0.25, 1.0 / 3.0, 0.7])
+    f = np.kron(values[rng.integers(0, values.size, (n // 8, n // 8))], np.ones((8, 8)))
+    f[: n // 2, : n // 2] = rng.random((n // 2, n // 2))
+    return f
+
+
+@pytest.mark.parametrize("name,n", [("disc", 128), ("petals", 128), ("disc", 256),
+                                    ("petals", 256), ("seeded", 256), ("patches", 64),
+                                    ("noise", 128)])
+def test_score_equals_a_full_pass_over_every_square(name, n):
+    J = n.bit_length() - 1
+    spec = make_hypercube(2.0 ** -5, 2.0, 1.0)
+    # the first petal vertex of acceptance criterion 8
+    seeded = np.random.default_rng(20260809).integers(0, 2, spec.m)
+    f = {"disc": lambda: rasterize(disc_star(), n, 4),
+         "petals": lambda: rasterize(vertex_function(spec, (1, 0) * (spec.m // 2)), n, 4),
+         "seeded": lambda: rasterize(vertex_function(spec, seeded), n, 4),
+         "patches": lambda: _constant_patches(n),
+         "noise": lambda: np.random.default_rng(0).random((n, n))}[name]()
+    shared = _shared_scales(f, J)
+    if name == "noise":
+        assert shared == []
+    else:
+        assert J - 1 in shared
+    if name == "patches":
+        assert shared == [J - 3, J - 2, J - 1]
+    scores = _score(f, J, J, 32)
+    for j, (best, edge) in enumerate(_full_pass(f, J, J, 32)):
+        assert np.array_equal(scores.split[j], best)
+        assert np.array_equal(scores.edge[j], edge)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from approxrate import wedgelet
 from approxrate.cartoon import disc_star, rasterize
 from approxrate.exceptions import (
     CorruptionError,
@@ -403,6 +404,21 @@ def test_encode_to_target_matches_reference_bisection(image, J, eps):
     assert err == ref_err
     assert reached is ref_reached
     assert reached is (eps == 0.05)
+
+
+def test_encode_to_target_evaluates_each_distinct_partition_once(monkeypatch):
+    pruned, quantized = [], []
+    prune, quantize = wedgelet._prune, wedgelet._quantize
+    monkeypatch.setattr(wedgelet, "_prune",
+                        lambda scores, lam: pruned.append(prune(scores, lam)) or pruned[-1])
+    monkeypatch.setattr(wedgelet, "_quantize",
+                        lambda f, part: quantized.append(part.leaves) or quantize(f, part))
+    code, _, reached = encode_to_target(rasterize(disc_star(), 64, 4), 6, 6, 32, 0.05)
+    assert reached
+    assert len(pruned) == 17  # lambda = 0, then the 16 bisection steps
+    distinct = {part.leaves for part in pruned}
+    assert len(quantized) == len(distinct) < 17
+    assert set(quantized) == distinct
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
