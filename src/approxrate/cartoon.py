@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, FormatError, InputShapeError, RangeError
-from .wedgelet import _sample_offsets
+from .ratelab import _simpson_weights
+from .wedgelet import _pixel_scale, _sample_offsets
 
 __all__ = [
     "RadiusFunction",
@@ -165,9 +166,7 @@ def petal_generator_seminorm(beta: float, grid: int = 4096) -> float:
 def _bump_masses(panels: int = 4096):
     """Simpson values of the bump's L1 mass and squared-L2 mass on [0, 2pi]."""
     u = np.linspace(0.0, TWO_PI, 2 * panels + 1)
-    w = np.ones_like(u)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    w = _simpson_weights(panels)
     h = TWO_PI / panels
     f = _bump(u)
     return float(h / 6.0 * np.dot(w, f)), float(h / 6.0 * np.dot(w, f * f))
@@ -348,8 +347,7 @@ def rasterize(f: StarFunction, n: int, supersample: int = 4) -> np.ndarray:
     The sample points are a deterministic centered sub-grid, so repeated
     runs are bit-identical.
     """
-    if n < 1 or (n & (n - 1)) != 0:
-        raise FormatError("n must be a power of two")
+    _pixel_scale(n)  # refuses an n that is not a power of two
     s = int(supersample)
     if s < 4:
         raise FormatError("supersample must be >= 4")

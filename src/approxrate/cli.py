@@ -211,7 +211,7 @@ def _run_bspline(args):
 
 
 def _run_quantize(args):
-    with open(args.net) as fh:
+    with open(args.net, "rb") as fh:  # the parser refuses bytes that are not UTF-8
         net = nnet.network_from_json(fh.read())
     k = args.k if args.k is not None else \
         quantizer.weight_range_exponent(net, args.eta)
@@ -220,9 +220,7 @@ def _run_quantize(args):
     else:
         m = quantizer.find_min_m(net, args.eta, k, args.D)
     qnet = quantizer.quantize_weights(net, args.eta, k, m)
-    xs = np.linspace(-args.D, args.D, 10_000)[None, :]
-    err = float(np.max(np.abs(nnet.evaluate_batch(qnet, xs)
-                              - nnet.evaluate_batch(net, xs))))
+    err = ratelab.sup_error_on_grid(qnet, net, -args.D, args.D)
     bits = quantizer.bits_per_weight(args.eta, k, m)
     report = {
         "eta": args.eta,

@@ -170,40 +170,33 @@ def build_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
                        (("delta", delta), ("B", B)))
 
 
-def _solve_vandermonde(size, rhs_index, rhs_value: Fraction):
-    """Solve sum_i x_i i^(size-1-v) = rhs on the 0..size-1 nodes.
+def _shift_weights(K, d):
+    """Weights w with sum_i w_i (x + i)^K = x^d identically, on the nodes 0..K.
 
-    Dense elimination with partial pivoting, carried out in exact rational
-    arithmetic because these matrices are ill-conditioned enough that a
-    float solve already corrupts the constructions that consume the
-    coefficients.  The result is rounded to float64 once, at the end.
+    Matching the powers of x leaves the moments sum_i w_i i^q =
+    [q = K - d] / C(K, d) for q = 0..K, so w_i is the t^(K-d) coefficient of
+    node i's Lagrange polynomial prod_{j != i} (t - j) / (i - j), whose
+    denominator is (-1)^(K-i) i! (K-i)!, over C(K, d).  Each weight is an
+    exact rational rounded to float64 once: the cancellation downstream
+    tolerates no error from a float solve.
     """
-    mat = [[Fraction(i) ** (size - 1 - v) for i in range(size)]
-           for v in range(size)]
-    rhs = [Fraction(0)] * size
-    rhs[rhs_index] = Fraction(rhs_value)
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(mat[r][col]))
-        if mat[pivot][col] == 0:
-            raise ConditioningError("singular Vandermonde system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] / mat[col][col]
-            if factor:
-                rhs[r] -= factor * rhs[col]
-                for c in range(col, size):
-                    mat[r][c] -= factor * mat[col][c]
-    sol = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        acc = rhs[r] - sum(mat[r][c] * sol[c] for c in range(r + 1, size))
-        sol[r] = acc / mat[r][r]
-    out = np.array([float(v) for v in sol])
+    full = [1]  # prod_{j=0..K} (t - j), lowest degree first
+    for j in range(K + 1):
+        full = [lo - j * hi for lo, hi in zip([0] + full, full + [0])]
+    sol = []
+    for i in range(K + 1):
+        coeff = full[K + 1]  # synthetic division by (t - i), from the top
+        for p in range(K, K - d, -1):
+            coeff = full[p] + i * coeff
+        denom = (-1) ** (K - i) * factorial(i) * factorial(K - i) * comb(K, d)
+        sol.append(float(Fraction(coeff, denom)))
+    out = np.array(sol)
+    size = K + 1
     nodes = np.arange(size, dtype=float)
     check = np.vstack([nodes ** (size - 1 - v) if size - 1 - v else np.ones(size)
                        for v in range(size)])
     target = np.zeros(size)
-    target[rhs_index] = float(rhs_value)
+    target[d] = 1 / comb(K, d)
     residual = float(np.max(np.abs(check @ out - target)))
     if residual > 1e-10:
         raise ConditioningError(
@@ -217,7 +210,7 @@ def vandermonde_alpha(k: int) -> np.ndarray:
         raise BuilderError("k must be >= 1")
     if k > 12:
         raise ConditioningError("vandermonde_alpha guarded to k <= 12")
-    return _solve_vandermonde(k + 1, 1, Fraction(1, k))
+    return _shift_weights(k, 1)
 
 
 def min_power_depth(m: int, k: int) -> int:
@@ -243,7 +236,7 @@ def vandermonde_a(m: int, k: int, L: int | None = None) -> np.ndarray:
         raise BuilderError(f"k^L = {K} cannot reach degree {m - 1}")
     if K > 16:
         raise ConditioningError("vandermonde_a guarded to k^L <= 16")
-    sol = _solve_vandermonde(K + 1, m - 1, Fraction(1, comb(K, m - 1)))
+    sol = _shift_weights(K, m - 1)
     probe = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     lhs = sum(sol[i] * (probe + i) ** K for i in range(K + 1))
     if float(np.max(np.abs(lhs - probe ** (m - 1)))) > 1e-8:
@@ -422,10 +415,12 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
 
     For exact power activations the truncated-power copies are exact off a
     shrinking interval near each knot, so the shift count N is sized from
-    the L2 mass of those slivers instead of the blanket sup bound; it is
-    rounded up to a power of two and the copy domain to a power of two so
-    every stored breakpoint weight is an exact dyadic number (the sums
-    involved cancel around N^(k-1) and tolerate no weight jitter).
+    the L2 mass of those slivers instead of the blanket sup bound.  N and
+    the copy domain are rounded up to powers of two, so the breakpoints
+    are exact.  The shift weights are exact rationals rounded once, but
+    the stored weights are not all dyadic and can exceed 2^40, where the
+    sums that cancel around N^(k-1) amplify their rounding, so the L2
+    claim can miss at small eps.
     """
     _check_eps(eps)
     if m < 2:

@@ -414,11 +414,11 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
         raise CompositionError("output dimensions differ")
 
     new_steps = []
+    in_dim = d
     for layer in range(depth):
         blocks = [net.steps[layer] for net in nets]
         last = layer == depth - 1
-        in_dim = d if layer == 0 else sum(b.in_dim for b in blocks)
-        edges = {}
+        edges = []
         bias = {}
         in_off = 0
         out_off = 0
@@ -426,9 +426,10 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
             col_base = 0 if layer == 0 else in_off
             row_base = 0 if last else out_off
             scale = coeffs[i] if last else 1.0
-            for r, c, v in blk.edge_weights:
-                key = (row_base + r, col_base + c)
-                edges[key] = edges.get(key, 0.0) + scale * v
+            # a block owns its rows below the last layer and its columns in
+            # it, so edges never collide; only the last layer's biases add up
+            edges.extend((row_base + r, col_base + c, scale * v)
+                         for r, c, v in blk.edge_weights)
             blk_bias = blk.bias() * scale
             if layer == 0 and shifts[i] != 0.0:
                 blk_bias = blk_bias + scale * (blk.matrix() @ np.full(d, shifts[i]))
@@ -439,10 +440,9 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
             in_off += blk.in_dim
             out_off += blk.out_dim
         step_out = out_dim if last else out_off
-        new_steps.append(AffineStep(
-            in_dim, step_out,
-            tuple((r, c, v) for (r, c), v in edges.items()),
-            tuple((r, v) for r, v in bias.items())))
+        new_steps.append(AffineStep(in_dim, step_out, tuple(edges),
+                                    tuple(bias.items())))
+        in_dim = step_out
     return Network(tuple(new_steps), base.activation)
 
 
@@ -541,27 +541,23 @@ def network_to_json(net: Network) -> str:
     return json.dumps(doc, indent=1)
 
 
-def network_from_json(text: str) -> Network:
+def network_from_json(text: str | bytes) -> Network:
     """Parse and validate a serialized network (all invariants re-checked)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid network JSON: {exc}") from exc
     try:
         a = doc["activation"]
         spec = ActivationSpec(a["kind"], int(a["k"]), float(a.get("C", 1.0)),
                               float(a.get("a", 1.0)), float(a.get("b", 1.0)))
-        steps = tuple(
-            AffineStep(int(s["in"]), int(s["out"]),
-                       tuple((int(r), int(c), float(v)) for r, c, v in s["edges"]),
-                       tuple((int(r), float(v)) for r, v in s["nodes"]))
-            for s in doc["steps"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        steps = tuple(AffineStep(int(s["in"]), int(s["out"]), s["edges"], s["nodes"])
+                      for s in doc["steps"])
+        net = Network(steps, spec)
+        if net.input_dim != int(doc.get("d", net.input_dim)):
+            raise FormatError("declared input dimension disagrees with steps")
+        if net.depth != int(doc.get("L", net.depth)):
+            raise FormatError("declared depth disagrees with steps")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network document: {exc}") from exc
-    net = Network(steps, spec)
-    if net.input_dim != int(doc.get("d", net.input_dim)):
-        raise FormatError("declared input dimension disagrees with steps")
-    if net.depth != int(doc.get("L", net.depth)):
-        raise FormatError("declared depth disagrees with steps")
     return net

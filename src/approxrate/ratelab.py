@@ -34,15 +34,17 @@ __all__ = [
 
 
 def _as_callable(obj):
+    """Values on a 1-d grid; a network gives one row per output."""
     if isinstance(obj, Network):
-        return lambda xs: evaluate_batch(obj, np.asarray(xs)[None, :])[0]
+        return lambda xs: evaluate_batch(obj, np.asarray(xs)[None, :])
     if callable(obj):
         return lambda xs: np.array([obj(x) for x in np.asarray(xs).ravel()])
     raise InputShapeError("expected a Network or a callable target")
 
 
 def sup_error_on_grid(candidate, target, lo, hi, points=10_000) -> float:
-    """Max abs difference on a uniform grid over [lo, hi]."""
+    """Max abs difference on a uniform grid over [lo, hi], over every
+    output of a network."""
     xs = np.linspace(float(lo), float(hi), int(points))
     return float(np.max(np.abs(_as_callable(candidate)(xs) - _as_callable(target)(xs))))
 
@@ -55,12 +57,14 @@ def _simpson_weights(panels: int):
 
 
 def l2_error_quad(candidate, target, lo, hi, panels: int = 2048) -> float:
-    """L2 distance on [lo, hi] by composite Simpson quadrature."""
+    """L2 distance on [lo, hi] by composite Simpson quadrature; the squared
+    differences of a network's outputs are summed."""
     panels = int(panels)
     xs = np.linspace(float(lo), float(hi), 2 * panels + 1)
     diff = _as_callable(candidate)(xs) - _as_callable(target)(xs)
+    squares = (diff * diff).reshape(-1, xs.size).sum(axis=0)
     h = (hi - lo) / panels
-    val = h / 6.0 * float(np.dot(_simpson_weights(panels), diff * diff))
+    val = h / 6.0 * float(np.dot(_simpson_weights(panels), squares))
     return math.sqrt(max(val, 0.0))
 
 

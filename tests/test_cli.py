@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from approxrate.cli import main, read_raw_array, write_raw_array
-from approxrate.nnet import network_from_json
+from approxrate.exceptions import FormatError
+from approxrate.nnet import AffineStep, Network, network_from_json, network_to_json, relu_power
 
 
 def run(argv):
@@ -183,3 +184,46 @@ def test_wedge_encode_nan_knob_exits_1(tmp_path, capsys, flag):
 
 def test_threads_flag_is_gone():
     assert run(["bspline", "--m", "3", "--samples", "4", "--threads", "2"]) == 2
+
+
+def _hostile_network(path, token):
+    """A valid two-layer document with the field at ``path`` written as the
+    raw JSON ``token``."""
+    doc = json.loads(network_to_json(Network(
+        (AffineStep(1, 1, ((0, 0, 1.0),)), AffineStep(1, 1, ((0, 0, 2.0),))),
+        relu_power(1))))
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', token)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_hostile_network(("steps", 0, "edges", 0, 2), str(10 ** 400)),
+                 id="weight-401-digits"),
+    pytest.param(_hostile_network(("steps", 0, "edges", 0, 0), "Infinity"),
+                 id="row-infinity"),
+    pytest.param(_hostile_network(("steps", 0, "nodes"), f"[[0, {10 ** 400}]]"),
+                 id="bias-401-digits"),
+    pytest.param(_hostile_network(("activation", "k"), "1e400"), id="k-1e400"),
+    pytest.param(_hostile_network(("steps", 0, "in"), "1e400"), id="in-1e400"),
+    pytest.param(_hostile_network(("d",), "1e400"), id="d-1e400"),
+    pytest.param(_hostile_network(("L",), "1e400"), id="L-1e400"),
+    pytest.param(_hostile_network(("d",), '"x"'), id="d-string"),
+    pytest.param(_hostile_network(("L",), "NaN"), id="L-nan"),
+    # beyond the interpreter's integer-string limit, and nested past its
+    # recursion limit
+    pytest.param("1" * 5000, id="int-5000-digits"),
+    pytest.param("[" * 100_000, id="deep-nesting"),
+    pytest.param(b"\xff\xfe\x00{}", id="not-utf8"),
+])
+def test_a_hostile_network_document_is_refused_with_format_error(tmp_path, capsys, text):
+    with pytest.raises(FormatError):
+        network_from_json(text)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc = run(["quantize", "--net", str(bad), "--eta", "0.1", "--m", "2",
+              "--out", str(tmp_path / "q.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("FormatError:")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -98,6 +99,29 @@ def test_vandermonde_a_against_fraction_oracle():
     got = vandermonde_a(3, 2, 1)  # K = 2, expands x^2's degree-2 identity
     want = fraction_vandermonde_oracle(3, 2, Fraction(1, 1))
     assert np.max(np.abs(got - np.array([float(w) for w in want]))) <= 1e-12
+
+
+def _rounded_once(size, rhs_row, rhs_value):
+    return np.array([float(w) for w in
+                     fraction_vandermonde_oracle(size, rhs_row, rhs_value)])
+
+
+def test_shift_weights_are_the_exact_solution_rounded_once():
+    for k in range(1, 13):
+        want = _rounded_once(k + 1, 1, Fraction(1, k))
+        assert vandermonde_alpha(k).tobytes() == want.tobytes()
+    solved = []
+    for k in range(1, 5):
+        for m in range(2, 18):
+            try:
+                got = vandermonde_a(m, k)
+            except BuilderError:  # includes ConditioningError
+                continue
+            K = k ** min_power_depth(m, k)
+            want = _rounded_once(K + 1, m - 1, Fraction(1, comb(K, m - 1)))
+            assert got.tobytes() == want.tobytes()
+            solved.append((m, k))
+    assert len(solved) == 20  # the pairs that k^L <= 16 and the residual checks admit
 
 
 def test_vandermonde_a_identity_probe():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxrate.exceptions import (
+    ApproxRateError,
     CompositionError,
     FormatError,
     InputShapeError,
@@ -272,3 +273,60 @@ def test_json_loader_refuses_tabulated_activation():
     doc["activation"].update(kind="tabulated", table=[[-1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(FormatError):
         network_from_json(json.dumps(doc))
+
+
+_HOSTILE = (st.integers(-1, 2) | st.integers(-10 ** 400, 10 ** 400)
+            | st.floats() | st.booleans() | st.text(max_size=2) | st.none())
+_KINDS = st.sampled_from(["relu_power", "logistic_power"])
+_WEIGHT = st.floats(-8.0, 8.0) | st.integers(-8, 8)
+_DIMS = st.lists(st.integers(1, 3) | st.integers(1, 10 ** 400), min_size=3, max_size=4)
+
+
+@st.composite
+def _network_documents(draw):
+    """A chain document with no hostile field, about one, or many: huge,
+    negative or non-finite dims, indices, k and weights, integers beyond
+    the float range, and values of the wrong type.  A hostile entry has the
+    wrong field count or is not a list, and a hostile entry list repeats
+    its first entry."""
+    odds = draw(st.sampled_from([0, 40, 6]))
+
+    def hostile():
+        return odds > 0 and draw(st.integers(1, odds)) == 1
+
+    def field(value):
+        return draw(_HOSTILE) if hostile() else value
+
+    def entry(key):
+        values = [field(index) for index in key] + [field(draw(_WEIGHT))]
+        if not hostile():
+            return values
+        return draw(st.sampled_from([values[:-1], values + [0], values[0]]))
+
+    def entries(*dims):
+        keys = st.tuples(*(st.integers(0, dim - 1) for dim in dims))
+        listed = [entry(key) for key in draw(st.lists(keys, max_size=3, unique=True))]
+        return listed + listed[:1] if hostile() else listed
+
+    dims = draw(_DIMS)
+    return {
+        "format": 1,
+        "d": field(dims[0]),
+        "L": field(len(dims) - 1),
+        "activation": {"kind": field(draw(_KINDS)), "k": field(draw(st.integers(1, 3))),
+                       "C": field(2.0), "a": field(1.0), "b": field(1.0)},
+        "steps": [{"in": field(n_in), "out": field(n_out),
+                   "edges": entries(n_out, n_in), "nodes": entries(n_out)}
+                  for n_in, n_out in zip(dims, dims[1:])],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_documents())
+def test_a_hostile_network_document_parses_or_raises_a_typed_error(doc):
+    # the parsed net is not evaluated: its dims may be astronomically large
+    try:
+        net = network_from_json(json.dumps(doc))
+    except ApproxRateError:
+        return
+    assert network_from_json(network_to_json(net)) == net

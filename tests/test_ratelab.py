@@ -10,7 +10,7 @@ from approxrate.exceptions import (
     SizeError,
     UnreachableError,
 )
-from approxrate.nnet import relu_power
+from approxrate.nnet import AffineStep, Network, relu_power
 from approxrate.ratelab import (
     covering_distortion_exact,
     covering_distortion_greedy,
@@ -45,6 +45,15 @@ def test_sup_error_on_grid_symmetric():
     f = lambda x: x * x
     g = lambda x: x * x + 0.25
     assert sup_error_on_grid(f, g, -1, 1) == pytest.approx(0.25)
+
+
+def test_network_errors_cover_every_output():
+    first = AffineStep(1, 2, ((0, 0, 1.0), (1, 0, 1.0)))
+    net = Network((first, AffineStep(2, 2, ((0, 0, 1.0), (1, 1, 1.0)))), relu_power(1))
+    moved = Network((first, AffineStep(2, 2, ((0, 0, 1.0), (1, 1, 1.5)))), relu_power(1))
+    # only the second output moves, by 0.5 x_+ on [-1, 1]
+    assert sup_error_on_grid(moved, net, -1, 1) == 0.5
+    assert l2_error_quad(moved, net, -1, 1) == pytest.approx(0.5 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_fit_rate_exact_power_law():
