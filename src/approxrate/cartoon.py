@@ -39,73 +39,49 @@ _RASTER_CHUNK = 1 << 18  # samples per rasterize step, which bounds its memory
 
 
 def _bump(u):
-    """Generator bump sin(u/2) supported on [0, 2pi]."""
+    """Generator bump sin(u/2) on [0, 2pi], +0.0 off it; a NaN u stays NaN."""
     u = np.asarray(u, dtype=float)
-    out = np.sin(0.5 * u)
-    out[(u < 0.0) | (u > TWO_PI)] = 0.0
-    return out
+    out = np.zeros_like(u)
+    return np.sin(0.5 * u, out=out, where=~((u < 0.0) | (u > TWO_PI)))
 
 
 def _bump_deriv(u):
     u = np.asarray(u, dtype=float)
-    out = 0.5 * np.cos(0.5 * u)
-    out[(u < 0.0) | (u > TWO_PI)] = 0.0
-    return out
+    out = np.zeros_like(u)
+    return 0.5 * np.cos(0.5 * u, out=out, where=~((u < 0.0) | (u > TWO_PI)))
 
 
 @dataclass(frozen=True)
 class RadiusFunction:
-    """Polar radius: a disc, a sum of petal bumps, or sampled values.
+    """Polar radius: r0 plus a sum of petal bumps (a disc has none).
 
     Petals are (index i, count m, amplitude A, beta); petal i occupies the
     arc [2 pi i / m, 2 pi (i+1) / m] taken modulo 2 pi, so i = m wraps onto
-    [0, 2 pi / m].  Sampled radii carry both values and derivative values
-    on a uniform theta grid.
+    [0, 2 pi / m].
     """
 
-    kind: str  # disc | petal_sum | sampled
-    r0: float = 0.0
+    r0: float
     petals: tuple = ()  # of (i, m, A, beta)
-    thetas: tuple = ()
-    values: tuple = ()
-    derivs: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("disc", "petal_sum", "sampled"):
-            raise FormatError(f"unknown radius kind {self.kind!r}")
-        if self.kind == "sampled" and not (len(self.thetas) == len(self.values)
-                                           == len(self.derivs) >= 4):
-            raise FormatError("sampled radius needs aligned theta/value/deriv grids")
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "disc":
-            return np.full_like(theta, self.r0)
-        if self.kind == "petal_sum":
-            out = np.full_like(theta, self.r0)
-            for i, m, A, beta in self.petals:
-                u = m * np.mod(theta - TWO_PI * i / m, TWO_PI)
-                out = out + A * m ** (-beta) * _bump(u)
-            return out
-        return np.interp(np.mod(theta, TWO_PI), self.thetas, self.values)
+        out = np.full_like(theta, self.r0)
+        for i, m, A, beta in self.petals:
+            u = m * np.mod(theta - TWO_PI * i / m, TWO_PI)
+            out = out + A * m ** (-beta) * _bump(u)
+        return out
 
     def derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "disc":
-            return np.zeros_like(theta)
-        if self.kind == "petal_sum":
-            out = np.zeros_like(theta)
-            for i, m, A, beta in self.petals:
-                u = m * np.mod(theta - TWO_PI * i / m, TWO_PI)
-                out = out + A * m ** (1.0 - beta) * _bump_deriv(u)
-            return out
-        return np.interp(np.mod(theta, TWO_PI), self.thetas, self.derivs)
+        out = np.zeros_like(theta)
+        for i, m, A, beta in self.petals:
+            u = m * np.mod(theta - TWO_PI * i / m, TWO_PI)
+            out = out + A * m ** (1.0 - beta) * _bump_deriv(u)
+        return out
 
 
 def _dense_thetas(radius: RadiusFunction, grid):
     base = np.linspace(0.0, TWO_PI, int(grid), endpoint=False)
-    if radius.kind != "petal_sum" or not radius.petals:
-        return base
     # make sure each petal's peak is sampled even when petals are narrow
     extra = []
     for i, m, _, _ in radius.petals:
@@ -115,7 +91,7 @@ def _dense_thetas(radius: RadiusFunction, grid):
 
 
 def disc_radius(r0: float) -> RadiusFunction:
-    return RadiusFunction("disc", r0=float(r0))
+    return RadiusFunction(float(r0))
 
 
 @dataclass(frozen=True)
@@ -159,7 +135,7 @@ class HypercubeSpec:
 
 def petal_generator_seminorm(beta: float, grid: int = 4096) -> float:
     """Measured Hoelder-beta seminorm of the bump sin(theta/2) on [0, 2pi]."""
-    gen = RadiusFunction("petal_sum", r0=1.0, petals=((1, 1, 1.0, beta),))
+    gen = RadiusFunction(1.0, ((1, 1, 1.0, beta),))
     return holder_seminorm(gen, beta, grid)
 
 
@@ -227,9 +203,7 @@ def vertex_function(spec: HypercubeSpec, xi) -> StarFunction:
         raise InputShapeError(f"xi must have length {spec.m}")
     petals = tuple((i + 1, spec.m, spec.A, spec.beta)
                    for i, bit in enumerate(xi) if bit)
-    if not petals:
-        return spec.f0
-    radius = RadiusFunction("petal_sum", r0=spec.f0.radius.r0, petals=petals)
+    radius = RadiusFunction(spec.f0.radius.r0, petals)
     return StarFunction(spec.f0.center, radius, spec.beta, spec.holder_C)
 
 
@@ -264,12 +238,6 @@ def holder_seminorm(radius: RadiusFunction, beta: float, grid: int = 2048) -> fl
     than one petal arc, the structural resolution of the function.
     """
     grid = int(grid)
-    if radius.kind == "disc":
-        return 0.0
-    if radius.kind == "sampled":
-        thetas = np.asarray(radius.thetas, dtype=float)
-        derivs = np.asarray(radius.derivs, dtype=float)
-        return _pair_max_ratio(thetas, derivs, beta, _dyadic_lags(len(thetas)))
     best = 0.0
     min_arc = TWO_PI
     for _i, m, A, beta_p in radius.petals:

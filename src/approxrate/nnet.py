@@ -41,12 +41,28 @@ __all__ = [
 ]
 
 
+def _index(x):
+    """An index or dimension: an int or numpy integer, never a bool."""
+    if type(x) is int or isinstance(x, np.integer):
+        return int(x)
+    raise FormatError(f"expected an integer, got {x!r}")
+
+
+def _number(x):
+    """A weight or constant: an int, float or numpy number, never a bool."""
+    if type(x) in (int, float) or isinstance(x, (np.integer, np.floating)):
+        return float(x)
+    raise FormatError(f"expected a number, got {x!r}")
+
+
 def _clean_triples(triples, out_dim, in_dim):
     """Sort, validate, and drop exact zeros from (row, col, value) triples."""
     seen = set()
     kept = []
     for row, col, val in triples:
-        row, col, val = int(row), int(col), float(val)
+        # plain ints and floats, as JSON reads them, need no conversion
+        if not (type(row) is type(col) is int and type(val) is float):
+            row, col, val = _index(row), _index(col), _number(val)
         if not (0 <= row < out_dim and 0 <= col < in_dim):
             raise InputShapeError(f"edge index ({row},{col}) outside {out_dim}x{in_dim}")
         if (row, col) in seen:
@@ -64,7 +80,8 @@ def _clean_pairs(pairs, out_dim):
     seen = set()
     kept = []
     for row, val in pairs:
-        row, val = int(row), float(val)
+        if not (type(row) is int and type(val) is float):
+            row, val = _index(row), _number(val)
         if not 0 <= row < out_dim:
             raise InputShapeError(f"node index {row} outside dimension {out_dim}")
         if row in seen:
@@ -92,6 +109,8 @@ class AffineStep:
     node_weights: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "in_dim", _index(self.in_dim))
+        object.__setattr__(self, "out_dim", _index(self.out_dim))
         if self.in_dim < 1 or self.out_dim < 1:
             raise InputShapeError("affine step dimensions must be positive")
         object.__setattr__(self, "edge_weights",
@@ -153,6 +172,8 @@ class ActivationSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise FormatError(f"unknown activation kind {self.kind!r}")
+        for name, check in zip("kCab", (_index, _number, _number, _number)):
+            object.__setattr__(self, name, check(getattr(self, name)))
         if self.k < 1:
             raise FormatError("sigmoidal order k must be >= 1")
         if not (self.C > 0 and self.a > 0 and self.b > 0):
@@ -548,15 +569,16 @@ def network_from_json(text: str | bytes) -> Network:
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid network JSON: {exc}") from exc
     try:
+        if _index(doc["format"]) != NETWORK_FORMAT_VERSION:
+            raise FormatError(f"unsupported network format {doc['format']}")
         a = doc["activation"]
-        spec = ActivationSpec(a["kind"], int(a["k"]), float(a.get("C", 1.0)),
-                              float(a.get("a", 1.0)), float(a.get("b", 1.0)))
-        steps = tuple(AffineStep(int(s["in"]), int(s["out"]), s["edges"], s["nodes"])
+        spec = ActivationSpec(a["kind"], a["k"], a["C"], a["a"], a["b"])
+        steps = tuple(AffineStep(s["in"], s["out"], s["edges"], s["nodes"])
                       for s in doc["steps"])
         net = Network(steps, spec)
-        if net.input_dim != int(doc.get("d", net.input_dim)):
+        if net.input_dim != _index(doc["d"]):
             raise FormatError("declared input dimension disagrees with steps")
-        if net.depth != int(doc.get("L", net.depth)):
+        if net.depth != _index(doc["L"]):
             raise FormatError("declared depth disagrees with steps")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network document: {exc}") from exc

@@ -20,6 +20,7 @@ __all__ = [
     "find_min_m",
     "bits_per_weight",
     "weight_range_exponent",
+    "measured_sup_error",
 ]
 
 
@@ -100,6 +101,8 @@ def _quantization_grid(d: int, D: float, grid: int):
     raise QuantizerError("sup grids are provided for input dimension <= 2")
 
 
+_SUP_GRID = 10_000  # find_min_m's default, and the grid quantize reports on
+
 # 625 screen points at the default grid: a small share of a candidate's
 # cost, and nearly every rejected m already fails there
 _SCREEN_STRIDE = 16
@@ -109,7 +112,13 @@ def _sup_error(net: Network, xs, ref) -> float:
     return float(np.max(np.abs(evaluate_batch(net, xs) - ref), initial=0.0))
 
 
-def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = 10_000,
+def measured_sup_error(qnet: Network, net: Network, D: float) -> float:
+    """max |qnet - net| on the grid find_min_m searches by default."""
+    xs = _quantization_grid(net.input_dim, D, _SUP_GRID)
+    return _sup_error(qnet, xs, evaluate_batch(net, xs))
+
+
+def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID,
                m_cap: int = 64) -> int:
     """Smallest m in [1, m_cap] with sup-grid quantization error <= eta.
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from approxrate.cartoon import (
-    RadiusFunction,
     disc_radius,
     disc_star,
     holder_seminorm,
@@ -20,14 +19,6 @@ TWO_PI = 2.0 * np.pi
 
 def test_disc_seminorm_zero():
     assert holder_seminorm(disc_radius(0.25), 2.0) == 0.0
-
-
-def test_sampled_seminorm_sine():
-    ths = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    rad = RadiusFunction("sampled", thetas=tuple(ths),
-                         values=tuple(2.0 - np.cos(ths)),
-                         derivs=tuple(np.sin(ths)))
-    assert holder_seminorm(rad, 2.0) == pytest.approx(1.0, abs=0.01)
 
 
 def test_generator_seminorm_quarter():

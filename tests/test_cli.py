@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from approxrate.cartoon import disc_star, rasterize
 from approxrate.cli import main, read_raw_array, write_raw_array
 from approxrate.exceptions import FormatError
-from approxrate.nnet import AffineStep, Network, network_from_json, network_to_json, relu_power
+from approxrate.nnet import (
+    AffineStep,
+    Network,
+    evaluate_batch,
+    network_from_json,
+    network_to_json,
+    relu_power,
+)
+from approxrate.ratelab import l2_error_pixels
+from approxrate.wedgelet import decode, encode
 
 
 def run(argv):
@@ -122,6 +132,49 @@ def test_rates_csv(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "knob,size_bits_or_connectivity,error,runtime_ms"
     assert len(rows) == 5
+
+
+def test_rates_wedge_disc_rows_match_a_direct_encode(tmp_path):
+    out = tmp_path / "wedge.csv"
+    assert run(["rates", "--experiment", "wedge-disc", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [32, 64, 128, 256]
+    bits = [int(row[1]) for row in rows]
+    errs = [float(row[2]) for row in rows]
+    assert all(a < b for a, b in zip(bits, bits[1:]))
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+    for J, row_bits, row_err in zip((5, 6), bits, errs):
+        n = 1 << J
+        arr = rasterize(disc_star(), n, 4)
+        code = encode(arr, J, J, 32, lam=n ** -3.0)
+        assert row_bits == code.bit_length
+        assert row_err == l2_error_pixels(decode(code), arr)
+
+
+def _two_input_net():
+    return Network((AffineStep(2, 2, ((0, 0, 0.5), (0, 1, -0.75), (1, 1, 1.25)),
+                               ((1, 0.25),)),
+                    AffineStep(2, 1, ((0, 0, 1.5), (0, 1, -0.5)), ((0, 0.125),))),
+                   relu_power(2))
+
+
+@pytest.mark.parametrize("how", [["--m", "2"], ["--auto"]])
+def test_quantize_measures_a_two_input_net_on_its_full_grid(tmp_path, how):
+    net_path = tmp_path / "d2.json"
+    net_path.write_text(network_to_json(_two_input_net()))
+    q_path = tmp_path / "q.json"
+    rc = run(["quantize", "--net", str(net_path), "--eta", "0.1", *how,
+              "--D", "1", "--out", str(q_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "q.json.report.json").read_text())
+    axis = np.linspace(-1.0, 1.0, 100)
+    xs = np.stack([g.ravel() for g in np.meshgrid(axis, axis)])
+    qnet = network_from_json(q_path.read_text())
+    ref = evaluate_batch(_two_input_net(), xs)
+    direct = np.max(np.abs(evaluate_batch(qnet, xs) - ref))
+    assert report["measured_sup_error"] == float(direct)
+    if how == ["--auto"]:
+        assert report["measured_sup_error"] <= report["eta"]
 
 
 def test_manifest_written(tmp_path):

@@ -133,6 +133,14 @@ def test_from_bytes_refuses_bytes_after_the_padding(name):
             WedgeCode.from_bytes(data + tail)
 
 
+def test_from_bytes_refuses_a_version_other_than_the_current_one():
+    data = (GOLDEN / "disc64_lam.wdgl").read_bytes()
+    assert data[4] == WEDGE_FORMAT_VERSION == 1
+    for version in (0, 2, 255):
+        with pytest.raises(CorruptionError, match=f"unsupported version {version}"):
+            WedgeCode.from_bytes(data[:4] + bytes([version]) + data[5:])
+
+
 def test_from_bytes_refuses_nonzero_padding():
     flipped = 0
     for name in STREAMS:

@@ -330,3 +330,101 @@ def test_a_hostile_network_document_parses_or_raises_a_typed_error(doc):
     except ApproxRateError:
         return
     assert network_from_json(network_to_json(net)) == net
+
+
+def _loose_document(edit):
+    """The JSON of a 1 -> 2 -> 1 relu net after ``edit`` changed its dict."""
+    doc = json.loads(network_to_json(Network(
+        (AffineStep(1, 2, ((0, 0, 1.0), (1, 0, -1.0)), ((1, 0.5),)),
+         AffineStep(2, 1, ((0, 0, 1.0), (0, 1, 2.0)))), relu_power(2))))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set([[1.9, 0, 1.0]], "steps", 0, "edges"), id="row-1.9"),
+    pytest.param(_set([[0, 0, True]], "steps", 0, "edges"), id="weight-true"),
+    pytest.param(_set([[0, 0, "3.5"]], "steps", 0, "edges"), id="weight-string"),
+    pytest.param(_set(["103"], "steps", 0, "edges"), id="edge-string"),
+    pytest.param(_set(["15"], "steps", 0, "nodes"), id="node-string"),
+    pytest.param(_set([[True, 0.5]], "steps", 0, "nodes"), id="node-row-true"),
+    pytest.param(_set(1.0, "steps", 0, "in"), id="in-1.0"),
+    pytest.param(_set(1.5, "steps", 0, "in"), id="in-1.5"),
+    pytest.param(_set("2", "activation", "k"), id="k-string"),
+    pytest.param(_set("2", "activation", "C"), id="C-string"),
+    pytest.param(_set(True, "activation", "a"), id="a-true"),
+    pytest.param(_set(1.0, "d"), id="d-1.0"),
+    pytest.param(_set(7, "format"), id="format-7"),
+    pytest.param(_set(True, "format"), id="format-true"),
+    pytest.param(_drop("format"), id="no-format"),
+    pytest.param(_drop("d"), id="no-d"),
+    pytest.param(_drop("L"), id="no-L"),
+    pytest.param(_drop("activation", "C"), id="no-C"),
+    pytest.param(_drop("activation", "a"), id="no-a"),
+    pytest.param(_drop("activation", "b"), id="no-b"),
+])
+def test_json_reader_refuses_what_the_writer_never_writes(edit):
+    with pytest.raises(FormatError):
+        network_from_json(_loose_document(edit))
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    step = AffineStep(np.int64(1), np.int32(2),
+                      ((np.int64(1), np.uint8(0), np.float32(0.5)),),
+                      ((np.int16(0), np.int64(3)),))
+    spec = ActivationSpec("relu_power", np.int64(2), np.int64(2), np.float64(1.0), 1)
+    assert (step.in_dim, step.out_dim) == (1, 2)
+    assert all(type(x) is int for x in (step.in_dim, step.out_dim, spec.k))
+    assert step.edge_weights == ((1, 0, 0.5),) and step.node_weights == ((0, 3.0),)
+    assert spec == relu_power(2)
+    net = Network((step, AffineStep(2, 1, ((0, 1, 1.0),))), spec)
+    assert network_from_json(network_to_json(net)) == net
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: AffineStep(1, 1, ((0, 0, 1 + 2j),)),
+    lambda: AffineStep(1, 1, ((0, 0, np.bool_(True)),)),
+    lambda: AffineStep(1, 1, ((np.float64(0.0), 0, 1.0),)),
+    lambda: AffineStep(True, 1),
+    lambda: ActivationSpec("relu_power", 2.0),
+    lambda: ActivationSpec("relu_power", 2, C=None),
+])
+def test_affine_steps_and_activations_refuse_other_types(bad):
+    with pytest.raises(FormatError):
+        bad()
+
+
+def test_evaluate_batch_refuses_a_batch_of_the_wrong_shape(relu_net):
+    for xs in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 3))):
+        with pytest.raises(InputShapeError, match="expected batch of shape"):
+            evaluate_batch(relu_net, xs)
+
+
+def test_evaluate_batch_refuses_a_non_finite_entry(relu_net):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputShapeError, match="non-finite"):
+            evaluate_batch(relu_net, np.array([[0.0, bad]]))
+
+
+def test_overflow_in_the_activation_names_the_layer():
+    from approxrate.exceptions import EvalOverflowError
+    net = chain([1e200, 1.0], relu_power(2))
+    # the affine step gives 1e200, finite; its square does not fit
+    with pytest.raises(EvalOverflowError, match="layer 1"):
+        evaluate(net, [1.0])
