@@ -217,10 +217,11 @@ def _run_quantize(args):
         quantizer.weight_range_exponent(net, args.eta)
     if args.m is not None:
         m = args.m
+        qnet = quantizer.quantize_weights(net, args.eta, k, m)
+        err = quantizer.measured_sup_error(qnet, net, args.D)
     else:
-        m = quantizer.find_min_m(net, args.eta, k, args.D)
-    qnet = quantizer.quantize_weights(net, args.eta, k, m)
-    err = quantizer.measured_sup_error(qnet, net, args.D)
+        m, err = quantizer._search_min_m(net, args.eta, k, args.D)
+        qnet = quantizer.quantize_weights(net, args.eta, k, m)
     bits = quantizer.bits_per_weight(args.eta, k, m)
     report = {
         "eta": args.eta,
@@ -297,9 +298,8 @@ def _run_rates(args):
         for eta in (0.25, 0.1, 0.05, 0.01):
             t0 = time.perf_counter()
             k = quantizer.weight_range_exponent(rep.network, eta)
-            m = quantizer.find_min_m(rep.network, eta, k, 4.0)
+            m, err = quantizer._search_min_m(rep.network, eta, k, 4.0)
             qnet = quantizer.quantize_weights(rep.network, eta, k, m)
-            err = quantizer.measured_sup_error(qnet, rep.network, 4.0)
             bits = quantizer.bits_per_weight(eta, k, m) * nnet.connectivity(qnet)
             rows.append((eta, bits, err, 1000 * (time.perf_counter() - t0)))
     elif args.experiment in ("wedge-disc", "wedge-petals"):

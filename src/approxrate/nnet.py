@@ -49,9 +49,13 @@ def _index(x):
 
 
 def _number(x):
-    """A weight or constant: an int, float or numpy number, never a bool."""
+    """A weight or constant: an int, float or numpy number, never a bool,
+    within the float range."""
     if type(x) in (int, float) or isinstance(x, (np.integer, np.floating)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise FormatError(f"number {x!r} is beyond the float range") from None
     raise FormatError(f"expected a number, got {x!r}")
 
 

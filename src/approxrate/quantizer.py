@@ -37,12 +37,16 @@ def quantize_value(w: float, eta: float, k: int, m: int) -> float:
     budget; when the budget is exactly tight (eta an inverse power of two)
     the single extreme grid point is shaved off.
     """
+    return _quantize_values([w], eta, k, m)[0]
+
+
+def _quantize_values(ws, eta: float, k: int, m: int) -> list:
+    """``quantize_value`` of each weight in ``ws``, rounded all at once."""
     step = eta ** m
-    q = _round_half_toward_zero(w / step)
+    qs = _round_half_toward_zero(np.array(ws, dtype=float) / step).tolist()
     q_cap = min(int(math.floor(eta ** (-(m + k)) * (1.0 + 1e-12))),
                 (1 << (bits_per_weight(eta, k, m) - 1)) - 1)
-    q = max(-q_cap, min(q_cap, q))
-    return q * step
+    return [max(-q_cap, min(q_cap, int(q))) * step for q in qs]
 
 
 def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
@@ -62,10 +66,10 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
             f"max |weight| {worst:.6g} exceeds eta^-k = {cap:.6g}")
     steps = []
     for step in net.steps:
-        edges = tuple((r, c, quantize_value(v, eta, k, m))
-                      for r, c, v in step.edge_weights)
-        nodes = tuple((r, quantize_value(v, eta, k, m))
-                      for r, v in step.node_weights)
+        edge_q = _quantize_values([v for _, _, v in step.edge_weights], eta, k, m)
+        node_q = _quantize_values([v for _, v in step.node_weights], eta, k, m)
+        edges = tuple((r, c, q) for (r, c, _), q in zip(step.edge_weights, edge_q))
+        nodes = tuple((r, q) for (r, _), q in zip(step.node_weights, node_q))
         steps.append(AffineStep(step.in_dim, step.out_dim, edges, nodes))
     return Network(tuple(steps), net.activation)
 
@@ -133,15 +137,29 @@ def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID
     screen's errors are those of a full-grid pass and the returned m is
     the one a full-grid search returns.
     """
+    return _search_min_m(net, eta, k, D, grid, m_cap)[0]
+
+
+def _search_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID,
+                  m_cap: int = 64):
+    """``find_min_m``'s search: (m, its sup-grid quantization error).
+
+    The error is the larger of the screen's and the rest's, so it is the
+    full grid's, and at the default grid equals ``measured_sup_error`` of
+    the quantized net.
+    """
     _check_eta(eta)
     xs = _quantization_grid(net.input_dim, D, grid)
     on_screen = np.arange(xs.shape[1]) % _SCREEN_STRIDE == 0
-    parts = [(part, evaluate_batch(net, part))
-             for part in (xs[:, on_screen], xs[:, ~on_screen])]
+    screen, rest = [(part, evaluate_batch(net, part))
+                    for part in (xs[:, on_screen], xs[:, ~on_screen])]
     for m in range(1, m_cap + 1):
         qnet = quantize_weights(net, eta, k, m)
-        # all() stops at the screen when it fails; NaN errors reject
-        if all(_sup_error(qnet, part, ref) <= eta for part, ref in parts):
-            return m
+        # the rest is evaluated only when the screen passes; NaN errors reject
+        screen_error = _sup_error(qnet, *screen)
+        if screen_error <= eta:
+            rest_error = _sup_error(qnet, *rest)
+            if rest_error <= eta:
+                return m, max(screen_error, rest_error)
     raise SearchExhaustedError(
         f"no m <= {m_cap} met the target (net likely ill-conditioned)")

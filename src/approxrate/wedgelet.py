@@ -362,7 +362,7 @@ class _Leaves:
         another budget than its scale's M_j is a ``FormatError``.
         """
         J = _pixel_scale(n)
-        budgets = tuple(m_j for m_j, _, _ in _layout(J, K, m_cap)[3])
+        budgets = _budgets(J, K, m_cap)
         rows = []
         for leaf in leaves:
             sq, split = leaf.square, leaf.split
@@ -382,6 +382,21 @@ class _Leaves:
         cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
         return cls(J, budgets, *cols)
 
+    def partition(self, K: int, m_cap: int) -> EdRdp:
+        """The leaves as an ``EdRdp``, for a table where side 1 of a split
+        square follows its side 0, as in ``_prune``'s; the two sides share
+        one square and one edgelet."""
+        leaves = []
+        cols = (self.j, self.ix, self.iy, self.local, self.side)
+        for j, ix, iy, local, side in zip(*(col.tolist() for col in cols)):
+            if side:
+                leaves.append(EdRdpLeaf(leaves[-1].square, (leaves[-1].edgelet, 1)))
+                continue
+            sq = DyadicSquare(j, ix, iy)
+            leaves.append(EdRdpLeaf(sq, None) if local < 0 else EdRdpLeaf(
+                sq, (Edgelet.from_local_index(sq, local, self.budgets[j]), 0)))
+        return EdRdp(tuple(leaves), 1 << self.J, K, m_cap)
+
     def partners(self):
         """Index of the leaf on the other side of each leaf's square, or -1.
 
@@ -392,10 +407,7 @@ class _Leaves:
         between neighbours.
         """
         shift = self.J - self.j
-        x, y = self.ix << shift, self.iy << shift
-        start = np.zeros_like(x)
-        for b in range(self.J):
-            start |= ((x >> b) & 1) << (2 * b) | ((y >> b) & 1) << (2 * b + 1)
+        start = _zorder(self.ix << shift, self.iy << shift)
         order = np.lexsort((self.side, self.j, start))
         a, b = order[:-1], order[1:]
         overlap = start[b] < start[a] + (1 << 2 * shift[a])
@@ -428,6 +440,24 @@ class _Leaves:
         return self.iy[idx], slice(None), self.ix[idx], slice(None)
 
 
+def _spread(bits: int):
+    """x with its bit b moved to bit 2b, for every x below 2^bits."""
+    x = np.arange(1 << bits)
+    out = np.zeros_like(x)
+    for b in range(bits):
+        out |= ((x >> b) & 1) << 2 * b
+    return out
+
+
+_SPREAD = _spread(_MAX_J)
+
+
+def _zorder(x, y):
+    """Z-order code of the cells (x, y) of a grid at most 2^_MAX_J wide:
+    the bits of x and y interleaved, x's lowest first."""
+    return _SPREAD[x] | _SPREAD[y] << 1
+
+
 def _tiles(arr, j: int):
     """(2^j, size, 2^j, size) view of an n x n array: square (ix, iy) of
     scale j is ``[iy, :, ix, :]``."""
@@ -447,34 +477,54 @@ def project(f_array, partition: EdRdp):
     Grams from the edgelet dictionary.
     """
     f = _check_array(f_array, partition.n)
-    n = partition.n
+    table = _Leaves.of(partition.leaves, partition.n, partition.K, partition.m_cap)
+    recon = np.zeros((partition.n, partition.n))  # C order: its tiles are views
+    coefs, thetas = _solve(f, table, table.pairs(), recon)
+    return Projection(partition.leaves, tuple(coefs.tolist()), tuple(thetas.tolist()),
+                      recon)
+
+
+def _solve(f, table, partner, recon=None):
+    """(coefficients, thetas) of the projection of f onto a checked table
+    whose split leaves all have their ``partner``; the fit is added into
+    ``recon`` when one is given."""
+    n = f.shape[0]
     norm = 1.0 / (n * n)
-    table = _Leaves.of(partition.leaves, n, partition.K, partition.m_cap)
-    partner = table.pairs()
     v = np.zeros(partner.size)
     coefs = np.zeros(partner.size)
     thetas = np.zeros(partner.size)
-    recon = np.zeros((n, n))  # C order, so its tile views are views
     for j, whole, cut in table.scales():
         size = n >> j
-        tiles, out = _tiles(f, j), _tiles(recon, j)
+        tiles = _tiles(f, j)
         if whole.size:
             g = size * size * norm
             v[whole] = tiles[table.windows(whole)].sum(axis=(1, 2)) * norm
             coefs[whole], thetas[whole] = v[whole] / g, v[whole] / np.sqrt(g)
-            np.add.at(out, table.windows(whole), coefs[whole, None, None])
+            if recon is not None:
+                np.add.at(_tiles(recon, j), table.windows(whole), coefs[whole, None, None])
         if not cut.size:
             continue
-        masks, (g, g_other, g01, det) = _split_masks(table, j, cut)
-        g, g_other, g01, det = g * norm, g_other * norm, g01 * norm, det * (norm * norm)
+        masks, grams = _split_masks(table, j, cut)
         v[cut] = np.einsum("kij,kij->k", tiles[table.windows(cut)], masks) * norm
         # the other side of a pair lies in the same square, so in this scale
-        coefs[cut] = (g_other * v[cut] - g01 * v[partner[cut]]) / det
-        thetas[cut] = coefs[cut] * np.sqrt(g)
-        masks *= coefs[cut, None, None]
-        np.add.at(out, table.windows(cut), masks)
-    return Projection(partition.leaves, tuple(coefs.tolist()), tuple(thetas.tolist()),
-                      recon)
+        coefs[cut], thetas[cut] = _pair_solve(v[cut], v[partner[cut]], grams, norm)
+        if recon is not None:
+            masks *= coefs[cut, None, None]
+            np.add.at(_tiles(recon, j), table.windows(cut), masks)
+    return coefs, thetas
+
+
+def _pair_solve(v, v_other, grams, norm: float):
+    """(coefficient, theta) of each split leaf from its inner product v and
+    its other side's, through the pair's 2x2 normal equations.
+
+    ``grams`` holds per leaf (g, g_other, g01, det) at norm 1, as
+    ``_sided`` orders them; the one pair solve of ``project`` and of the
+    probes of ``encode_to_target``.
+    """
+    g, g_other, g01, det = grams
+    coef = (g_other * norm * v - g01 * norm * v_other) / (det * (norm * norm))
+    return coef, coef * np.sqrt(g * norm)
 
 
 def _check_array(f_array, n):
@@ -657,15 +707,26 @@ def _split_masks(table, j: int, sel):
     masks = _expand(entry, pos)
     side1 = table.side[sel] == 1
     masks[side1] = 1.0 - masks[side1]
-    g00, g11 = entry.g00[pos], entry.g11[pos]
-    return masks, (np.where(side1, g11, g00), np.where(side1, g00, g11),
-                   entry.g01[pos], entry.det[pos])
+    return masks, _sided(entry.g00[pos], entry.g01[pos], entry.g11[pos], entry.det[pos],
+                         side1)
+
+
+def _sided(g00, g01, g11, det, side1):
+    """Pair Grams as (g, g_other, g01, det) from each leaf's own side."""
+    return np.where(side1, g11, g00), np.where(side1, g00, g11), g01, det
 
 
 def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
-    """Smallest two-wedge squared error per square and its local index.
+    """Smallest two-wedge squared error per square and its local index."""
+    best, pos, _ = _split_winners(blocks, sums, sumsq, masks, norm)
+    return best, masks.local[pos]
 
-    ``blocks`` is (squares, size^2).  The side-0 sums v0 come from one
+
+def _split_winners(blocks, sums, sumsq, masks: _Masks, norm: float):
+    """(smallest two-wedge squared error, position in ``masks`` of its
+    edgelet, that edgelet's side-0 inner product v0) per square.
+
+    ``blocks`` is (squares, size^2).  v0, in norm units, comes from one
     BLAS product for dense masks, else from row prefix sums over the runs
     plus the other pixels' counted terms.  Squares go in chunks so that no
     temporary is much larger than ``_CHUNK`` elements.  Ties go to the
@@ -689,7 +750,8 @@ def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
         width = max(n_edge, size * size)
     chunk = max(1, _CHUNK // width)
     best = np.empty(nsq)
-    best_idx = np.empty(nsq, dtype=np.int64)
+    best_pos = np.empty(nsq, dtype=np.int64)
+    best_v0 = np.empty(nsq)
     for s0 in range(0, nsq, chunk):
         blk = blocks[s0:s0 + chunk]
         if masks.dense is None:
@@ -707,28 +769,59 @@ def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
         quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1 + g00 * v1 * v1) / det
         sse = sumsq[s0:s0 + chunk, None] * norm - quad
         arg = np.argmin(sse, axis=1)
-        best[s0:s0 + chunk] = sse[np.arange(arg.size), arg]
-        best_idx[s0:s0 + chunk] = masks.local[arg]
-    return best, best_idx
+        rows = np.arange(arg.size)
+        best[s0:s0 + chunk] = sse[rows, arg]
+        best_pos[s0:s0 + chunk] = arg
+        best_v0[s0:s0 + chunk] = v0[rows, arg]
+    return best, best_pos, best_v0
+
+
+def _first(j):
+    """Where scale j starts in an array flat over the scales 0, 1, ..."""
+    return ((1 << 2 * j) - 1) // 3
 
 
 @dataclass(frozen=True)
 class _Scores:
-    """Penalty-free costs of every square of one image, indexed by scale j.
+    """Penalty-free costs of every square of one image.
 
-    ``unsplit[j][i]`` is the squared error of square i kept whole,
-    ``split[j][i]`` the smallest squared error over its valid edgelet
-    splits (inf at the pixel scale) and ``edge[j][i]`` the local index of
-    that edgelet (-1 when there is none).  Square i sits at
-    (ix, iy) = (i mod 2^j, i div 2^j).
+    Every array is flat over the scales: square i of scale j, at
+    (ix, iy) = (i mod 2^j, i div 2^j), is entry ``_first(j) + i``.
+    ``sse_whole`` is the squared error of the square kept whole,
+    ``sse_split`` the smallest over its valid edgelet splits (inf at the
+    pixel scale) and ``local`` that edgelet's local index (-1 when there
+    is none).  For the projection of a pruned partition, ``sums`` holds
+    the square's pixel sum, ``v0`` the chosen edgelet's side-0 inner
+    product in norm units, and ``gram`` the column of its pair Grams
+    (g00, g01, g11, det at norm 1) in ``grams``.  ``unsplit``, ``split``
+    and ``edge`` view the first three per scale.
     """
 
     J: int
     K: int
     m_cap: int
-    unsplit: tuple
-    split: tuple
-    edge: tuple
+    sse_whole: np.ndarray
+    sse_split: np.ndarray
+    local: np.ndarray
+    sums: np.ndarray
+    v0: np.ndarray
+    gram: np.ndarray
+    grams: np.ndarray
+
+    def _per_scale(self, flat):
+        return tuple(flat[_first(j):_first(j + 1)] for j in range(self.J + 1))
+
+    @cached_property
+    def unsplit(self):
+        return self._per_scale(self.sse_whole)
+
+    @cached_property
+    def split(self):
+        return self._per_scale(self.sse_split)
+
+    @cached_property
+    def edge(self):
+        return self._per_scale(self.local)
 
 
 def _constant_squares(f, J: int):
@@ -778,75 +871,89 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     Per square the edgelet with the smallest two-wedge squared error wins;
     ties go to the smaller local index.  The penalty plays no part, so one
     score serves every lambda.  Of the constant squares of a scale, one
-    per distinct value is scored (see ``_distinct_squares``).
+    per distinct value is scored (see ``_distinct_squares``).  Each
+    square also keeps its pixel sum and the winner's v0 and Grams, from
+    which any pruned partition's projection follows (see ``_closed_form``).
     """
     n = 1 << J
     norm = 1.0 / (n * n)
     constant = _constant_squares(f, J)
-    unsplit, split, edge = [], [], []
+    total = _first(J + 1)
+    sse_whole, sums, v0 = np.empty(total), np.empty(total), np.zeros(total)
+    sse_split = np.full(total, np.inf)
+    local, gram = np.full(total, -1, dtype=np.int64), np.zeros(total, dtype=np.int64)
+    grams, offset = [np.zeros((4, 0))], 0
     for j in range(J + 1):
         size = 1 << (J - j)
         nsq = 1 << (2 * j)
+        at = slice(_first(j), _first(j + 1))
         blocks = _tiles(f, j).transpose(0, 2, 1, 3)
         blocks = blocks.reshape(nsq, size, size)  # index = iy * 2^j + ix
-        sums = blocks.sum(axis=(1, 2))
+        sums[at] = blocks.sum(axis=(1, 2))
         sumsq = (blocks * blocks).sum(axis=(1, 2))
-        unsplit.append((sumsq - sums * sums / (size * size)) * norm)
-        if j < J:
-            masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
-            rows, at = _distinct_squares(*constant[j])
-            best, best_idx = _best_splits(blocks.reshape(nsq, -1)[rows], sums[rows],
-                                          sumsq[rows], masks, norm)
-            best, best_idx = best[at], best_idx[at]
-        else:
-            best, best_idx = np.full(nsq, np.inf), np.full(nsq, -1, dtype=np.int64)
-        split.append(best)
-        edge.append(best_idx)
-    return _Scores(J, K, m_cap, tuple(unsplit), tuple(split), tuple(edge))
+        sse_whole[at] = (sumsq - sums[at] * sums[at] / (size * size)) * norm
+        if j == J:
+            continue
+        masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
+        rows, stand = _distinct_squares(*constant[j])
+        best, pos, won = _split_winners(blocks.reshape(nsq, -1)[rows], sums[at][rows],
+                                        sumsq[rows], masks, norm)
+        sse_split[at], local[at], v0[at] = best[stand], masks.local[pos[stand]], won[stand]
+        gram[at] = offset + pos[stand]
+        grams.append(np.stack([masks.g00, masks.g01, masks.g11, masks.det]))
+        offset += masks.local.size
+    return _Scores(J, K, m_cap, sse_whole, sse_split, local, sums, v0, gram,
+                   np.concatenate(grams, axis=1))
 
 
-def _prune(scores: _Scores, lam: float) -> EdRdp:
+def _prune(scores: _Scores, lam: float) -> _Leaves:
     """Bottom-up leaf-versus-quad DP over scored squares at penalty lam.
 
     A leaf costs ``+lam``, an edgelet split ``+2 lam``.  Ties prefer the
-    unsplit leaf over the split, then the leaf over the quad.
+    unsplit leaf over the split, then the leaf over the quad.  The leaves
+    come back as a table, found top-down: a square is a leaf when the DP
+    keeps it, whole or split, and every ancestor is a quad.  Rows are in
+    stream order, that of a depth-first walk that visits the children
+    (dx, dy) = (0, 0), (1, 0), (0, 1), (1, 1): by the Z-order code of the
+    square at the pixel scale, then by side.
     """
-    J, K, m_cap = scores.J, scores.K, scores.m_cap
-    leaf_choice = [None] * (J + 1)  # -2 quad, -1 unsplit, >= 0 edgelet index
+    J = scores.J
+    unsplit, split = scores.unsplit, scores.split
+    cut = np.empty(_first(J + 1), dtype=bool)  # split, if a leaf
+    keep = [None] * (J + 1)  # a leaf rather than a quad
     best_cost = None
     for j in range(J, -1, -1):
-        cost_leaf = scores.unsplit[j] + lam
-        cost_split = scores.split[j] + 2.0 * lam
-        use_split = cost_split < cost_leaf  # tie -> unsplit preferred
-        cost_leaf = np.where(use_split, cost_split, cost_leaf)
-        choice = np.where(use_split, scores.edge[j], -1)
+        cost_leaf = unsplit[j] + lam
+        cost_split = split[j] + 2.0 * lam
+        use_split = np.less(cost_split, cost_leaf, out=cut[_first(j):_first(j + 1)])
+        cost_leaf = np.where(use_split, cost_split, cost_leaf)  # tie -> unsplit
         if j < J:
             quad_cost = best_cost.reshape(1 << j, 2, 1 << j, 2).sum(axis=(1, 3)).reshape(-1)
-            take_leaf = cost_leaf <= quad_cost  # tie -> leaf preferred
-            best_cost = np.where(take_leaf, cost_leaf, quad_cost)
-            choice = np.where(take_leaf, choice, -2)
+            keep[j] = cost_leaf <= quad_cost  # tie -> leaf preferred
+            best_cost = np.where(keep[j], cost_leaf, quad_cost)
         else:
+            keep[j] = np.ones(cost_leaf.size, dtype=bool)
             best_cost = cost_leaf
-        leaf_choice[j] = choice
 
-    leaves = []
-
-    def emit(sq: DyadicSquare):
-        lin = sq.iy * (1 << sq.j) + sq.ix
-        pick = int(leaf_choice[sq.j][lin])
-        if pick == -2:
-            for child in sq.children():
-                emit(child)
-        elif pick == -1:
-            leaves.append(EdRdpLeaf(sq, None))
-        else:
-            m_j = vertex_budget(sq.j, J, K, m_cap)
-            edge = Edgelet.from_local_index(sq, pick, m_j)
-            leaves.append(EdRdpLeaf(sq, (edge, 0)))
-            leaves.append(EdRdpLeaf(sq, (edge, 1)))
-
-    emit(DyadicSquare(0, 0, 0))
-    return EdRdp(tuple(leaves), 1 << J, K, m_cap)
+    scale, index = [], []
+    below = np.ones(1, dtype=bool)  # squares whose ancestors are all quads
+    for j in range(J + 1):
+        index.append(np.flatnonzero(below & keep[j]))
+        scale.append(np.full(index[-1].size, j))
+        below &= ~keep[j]
+        if not below.any():
+            break
+        width = 1 << j
+        below = below.reshape(width, 1, width, 1).repeat(2, axis=1).repeat(2, axis=3).ravel()
+    j, index = np.concatenate(scale), np.concatenate(index)
+    ix, iy, at = index & ((1 << j) - 1), index >> j, _first(j) + index
+    order = np.argsort(_zorder(ix, iy) << 2 * (J - j))
+    j, ix, iy, at = (col[order] for col in (j, ix, iy, at))
+    local = np.where(cut[at], scores.local[at], -1)
+    twice = 1 + (local >= 0)  # a split square has a row per side
+    j, ix, iy, local = (np.repeat(col, twice) for col in (j, ix, iy, local))
+    side = np.arange(j.size) - np.repeat(np.cumsum(twice) - twice, twice)
+    return _Leaves(J, _budgets(J, scores.K, scores.m_cap), j, ix, iy, local, side)
 
 
 def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
@@ -867,7 +974,7 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
         raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam < 0.0:
         raise RangeError("lambda must be >= 0")
-    return _prune(_score(f, J, K, m_cap), lam)
+    return _prune(_score(f, J, K, m_cap), lam).partition(K, m_cap)
 
 
 def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
@@ -894,6 +1001,12 @@ class _BitReader:
         return int(self.bits[start:self.pos] or "0", 2)
 
 
+def _budgets(J: int, K: int, m_cap: int) -> tuple:
+    """M_j for the scales j = 0..J of a stream with this header."""
+    return tuple(m_j for m_j, _, _ in _layout(J, K, m_cap)[3])
+
+
+@lru_cache(maxsize=64)
 def _layout(J: int, K: int, m_cap: int):
     """The field widths of a stream with this header.
 
@@ -915,7 +1028,7 @@ def _layout(J: int, K: int, m_cap: int):
         m_j = vertex_budget(j, J, K, m_cap)
         pairs = comb(m_j, 2)
         splits.append((m_j, (pairs - 1).bit_length(), pairs))
-    return J.bit_length(), (2 * offset).bit_length(), offset, splits
+    return J.bit_length(), (2 * offset).bit_length(), offset, tuple(splits)
 
 
 @dataclass(frozen=True)
@@ -945,8 +1058,7 @@ class WedgeCode:
     @cached_property
     def bit_length(self):
         """``8 * len(self.to_bytes())``, summed from the field widths."""
-        bits = int(self._fields()[1].sum())
-        return 8 * _HEADER_BYTES + (bits + 7) // 8 * 8
+        return _stream_bits(int(self._fields()[1].sum()))
 
     def _fields(self):
         """The payload as flat value and width arrays, in stream order.
@@ -1039,24 +1151,25 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
 
 def _quantize(f, partition: EdRdp) -> WedgeCode:
     """Project ``f`` onto the partition and round its coefficients to eta."""
-    proj = project(f, partition)
+    thetas = np.array(project(f, partition).thetas)
     eta = 1.0 / (partition.n * partition.n)
-    records = []
-    for leaf, theta in zip(partition.leaves, proj.thetas):
-        if abs(theta) > 1.0 + eta + 1e-12:
-            raise RangeError(
-                f"coefficient {theta:.6g} outside [-1-eta, 1+eta]")
-        q = _round_half_toward_zero(theta / eta)
-        if q != 0:
-            records.append((leaf, q))
-    return WedgeCode(partition.J, partition.K, partition.m_cap, tuple(records))
+    over = np.flatnonzero(np.abs(thetas) > 1.0 + eta + 1e-12)
+    if over.size:
+        raise RangeError(f"coefficient {thetas[over[0]]:.6g} outside [-1-eta, 1+eta]")
+    qs = _round_half_toward_zero(thetas / eta).astype(np.int64).tolist()
+    return WedgeCode(partition.J, partition.K, partition.m_cap,
+                     tuple((leaf, q) for leaf, q in zip(partition.leaves, qs) if q))
 
 
-def _round_half_toward_zero(x: float) -> int:
-    """Nearest integer with .5 ties resolved toward zero."""
-    if x >= 0.0:
-        return int(math.ceil(x - 0.5))
-    return -int(math.ceil(-x - 0.5))
+def _round_half_toward_zero(x):
+    """Nearest integer, as a float, with .5 ties resolved toward zero;
+    elementwise on arrays."""
+    return np.copysign(np.ceil(np.abs(x) - 0.5), x)
+
+
+def _stream_bits(payload: int) -> int:
+    """Bits of a stream whose records take ``payload`` bits."""
+    return 8 * _HEADER_BYTES + (payload + 7) // 8 * 8
 
 
 def decode(code: WedgeCode) -> np.ndarray:
@@ -1096,7 +1209,8 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
 
     A larger penalty means fewer leaves, fewer bits, and more error, so we
     push the penalty as high as the target allows.  The image is scored
-    once; each probe prunes, and only a partition no earlier probe gave is
+    once; each of the 17 probes prunes and reads its code's bits and error
+    from the scores (see ``_probe``), and only the partition returned is
     projected, quantized and decoded.  Returns (code, error, reached); when
     the target is unreachable even at zero penalty the best-effort code
     comes back with reached = False.
@@ -1108,30 +1222,98 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     if not math.isfinite(target_eps):
         raise DomainError(f"target eps must be finite, got {target_eps!r}")
     scores = _score(f, J, K, m_cap)
-    seen = {}  # leaves of a pruned partition -> (code, err)
 
-    def attempt(lam):
-        partition = _prune(scores, lam)
-        result = seen.get(partition.leaves)
-        if result is None:
-            code = _quantize(f, partition)
-            err = float(np.sqrt(np.mean((decode(code) - f) ** 2)))
-            result = seen[partition.leaves] = code, err
-        return result
+    def attempt(lam):  # (table, bits, err, code or None)
+        table = _prune(scores, lam)
+        return (table, *_probe(f, scores, table, target_eps))
 
-    code, err = attempt(0.0)
-    if err > target_eps:
-        return code, err, False
-    best, best_err, best_bits = code, err, code.bit_length
-    lo, hi = 0.0, 1.0
-    for _ in range(_SWEEPS):
-        mid = (lo + hi) / 2.0
-        code, err = attempt(mid)
-        if err <= target_eps:
-            lo = mid
-            bits = code.bit_length
-            if bits < best_bits:
-                best, best_err, best_bits = code, err, bits
-        else:
-            hi = mid
-    return best, best_err, True
+    best = attempt(0.0)
+    reached = best[2] <= target_eps
+    if reached:
+        lo, hi = 0.0, 1.0
+        for _ in range(_SWEEPS):
+            mid = (lo + hi) / 2.0
+            probe = attempt(mid)
+            if probe[2] <= target_eps:
+                lo = mid
+                if probe[1] < best[1]:
+                    best = probe
+            else:
+                hi = mid
+    table, _, err, code = best
+    if code is None:
+        _, err, code = _realize(f, table, K, m_cap)
+    return code, err, reached
+
+
+def _realize(f, table: _Leaves, K: int, m_cap: int):
+    """(bits, RMS error, code) of a pruned table through ``_quantize`` and
+    ``decode``."""
+    code = _quantize(f, table.partition(K, m_cap))
+    return code.bit_length, float(np.sqrt(np.mean((decode(code) - f) ** 2))), code
+
+
+def _probe(f, scores: _Scores, table: _Leaves, target: float):
+    """(bits, RMS error, code) of the code ``_quantize`` makes of a table
+    ``_prune`` gave.
+
+    Read from the scores by ``_closed_form``, with code None, unless that
+    cannot decide: a theta near the coefficient bound, or a squared error
+    within a relative 2e-9 of the target's square (1e-9 on the error) or
+    within the rounding of scored errors that cancel against the pixels'
+    energy, sum f^2 * norm.  Then ``_realize`` makes and decodes the code.
+    """
+    closed = _closed_form(f, scores, table)
+    if closed is not None:
+        bits, mse = closed
+        energy = scores.sse_whole[0] + (scores.sums[0] / (1 << 2 * scores.J)) ** 2
+        if abs(mse - target * target) > 2e-9 * target * target + 1e-12 * energy:
+            return bits, math.sqrt(mse), None
+    return _realize(f, table, scores.K, scores.m_cap)
+
+
+def _closed_form(f, scores: _Scores, table: _Leaves):
+    """(bits, mean squared error) of the code ``_quantize`` makes of a
+    table ``_prune`` gave, read from the scores; None when some theta is
+    within a relative 1e-9 of the coefficient bound.
+
+    A square kept whole has theta = sum * norm / sqrt(g); the sides of a
+    split square come from its scored v0 through ``_pair_solve``.  Scored
+    and projected inner products may differ in the last bits, so when
+    some theta / eta is within a relative 1e-9 of a half-integer, where q
+    could round the other way, every theta comes from ``project``'s own
+    solve instead.  The squared error is exact in closed form, since the
+    leaves are disjoint and the projection residual is orthogonal to
+    their span: the squares' scored squared errors plus
+    (theta - q eta)^T G (theta - q eta) over each square's leaves, with G
+    the Gram of their unit-norm masks.  The bits sum ``_layout``'s field
+    widths over the records with q != 0.
+    """
+    J, K, m_cap = scores.J, scores.K, scores.m_cap
+    eta = norm = 1.0 / (1 << 2 * J)
+    j, split = table.j, table.local >= 0
+    at = _first(j) + (table.iy << j) + table.ix
+    v = scores.sums[at] * norm
+    thetas = np.ldexp(v, j)  # g = 4^-j, so this is v / sqrt(g) exactly
+    cut = np.flatnonzero(split)
+    g00, g01, g11, det = scores.grams[:, scores.gram[at[cut]]]
+    side1 = table.side[cut] == 1
+    v0 = scores.v0[at[cut]]
+    v1 = v[cut] - v0
+    thetas[cut] = _pair_solve(np.where(side1, v1, v0), np.where(side1, v0, v1),
+                              _sided(g00, g01, g11, det, side1), norm)[1]
+    if np.any(np.abs(thetas) > (1.0 + eta + 1e-12) * (1.0 - 1e-9)):
+        return None
+    x = np.abs(thetas) / eta
+    if np.any(np.abs(x - np.floor(x) - 0.5) <= 1e-9 * np.maximum(x, 1.0)):
+        thetas = _solve(f, table, table.partners())[1]
+    q = _round_half_toward_zero(thetas / eta)
+    d = thetas - q * eta
+    first = cut[~side1]  # side 0 of each split square; side 1 is the next row
+    cross = g01[~side1] / np.sqrt(g00[~side1] * g11[~side1])
+    sse = np.where(split, scores.sse_split[at], scores.sse_whole[at])[table.side == 0]
+    mse = sse.sum() + np.sum(d * d) + 2.0 * np.sum(d[first] * d[first + 1] * cross)
+    sbits, cbits, _, splits = _layout(J, K, m_cap)
+    ebits = np.array([width for _, width, _ in splits])
+    width = sbits + 2 * j + 1 + split * (ebits[j] + 1) + cbits
+    return _stream_bits(int(width[q != 0].sum())), max(float(mse), 0.0)

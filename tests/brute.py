@@ -82,3 +82,30 @@ def brute_best_cost(f, J, K, m_cap, lam, max_leaves=10):
                             J, K, m_cap, max_leaves, n)
     return min(cost + lam * count for count, cost in enumerate(table)
                if count >= 1 and cost < INF)
+
+
+def emit_leaves(choice, J):
+    """Leaf rows (j, ix, iy, local index or -1, side) of per-scale choice
+    arrays, in the order of a recursive depth-first walk from the unit
+    square.
+
+    ``choice[j][iy * 2^j + ix]`` is -2 for a quad, -1 for an unsplit leaf
+    and an edgelet's local index for a split square, which gives a row per
+    side.  Children are visited (dx, dy) = (0, 0), (1, 0), (0, 1), (1, 1).
+    """
+    rows = []
+
+    def emit(j, ix, iy):
+        pick = int(choice[j][iy * (1 << j) + ix])
+        if pick == -2:
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    emit(j + 1, 2 * ix + dx, 2 * iy + dy)
+        elif pick == -1:
+            rows.append((j, ix, iy, -1, 0))
+        else:
+            rows.extend([(j, ix, iy, pick, 0), (j, ix, iy, pick, 1)])
+
+    emit(0, 0, 0)
+    assert all(j <= J for j, *_ in rows)
+    return rows

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from approxrate.nnet import (
     network_to_json,
     relu_power,
 )
+from approxrate.quantizer import measured_sup_error
 from approxrate.ratelab import l2_error_pixels
 from approxrate.wedgelet import decode, encode
 
@@ -72,6 +74,20 @@ def test_quantize_roundtrip(tmp_path):
     report = json.loads((tmp_path / "q.json.report.json").read_text())
     assert report["measured_sup_error"] <= report["eta"]
     assert report["total_bits"] == report["bits_per_weight"] * report["connectivity"]
+
+
+def test_quantize_auto_reports_the_error_of_its_own_search(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    net = network_from_json((golden / "bspline_m3_k2.json").read_text())
+    q_path = tmp_path / "q.json"
+    rc = run(["quantize", "--net", str(golden / "bspline_m3_k2.json"), "--eta", "0.01",
+              "--auto", "--D", "4", "--out", str(q_path)])
+    assert rc == 0
+    assert q_path.read_text() == (golden / "bspline_m3_k2_eta0.01.json").read_text()
+    report = json.loads((tmp_path / "q.json.report.json").read_text())
+    qnet = network_from_json(q_path.read_text())
+    assert report["measured_sup_error"] == measured_sup_error(qnet, net, 4.0)
+    assert report["measured_sup_error"] <= report["eta"]
 
 
 def test_star_raw_output(tmp_path):

@@ -410,6 +410,16 @@ def test_affine_steps_and_activations_refuse_other_types(bad):
         bad()
 
 
+@pytest.mark.parametrize("bad", [
+    lambda: AffineStep(1, 1, ((0, 0, 10 ** 400),)),
+    lambda: AffineStep(1, 1, (), ((0, -10 ** 400),)),
+    lambda: ActivationSpec("relu_power", 2, 10 ** 400),
+])
+def test_numbers_beyond_the_float_range_are_refused(bad):
+    with pytest.raises(FormatError, match="float range"):
+        bad()
+
+
 def test_evaluate_batch_refuses_a_batch_of_the_wrong_shape(relu_net):
     for xs in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 3))):
         with pytest.raises(InputShapeError, match="expected batch of shape"):

@@ -1,0 +1,170 @@
+"""The leaf table ``_prune`` returns and the probes ``encode_to_target``
+reads from the scores.
+
+Oracles: a recursive depth-first walk over the DP's choices
+(``brute.emit_leaves``), and for each probe the code ``_quantize`` makes
+of the same partition, decoded and measured pixel by pixel.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from approxrate import wedgelet
+from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
+from approxrate.exceptions import RangeError
+from approxrate.wedgelet import decode, encode, encode_to_target
+from brute import emit_leaves
+from test_wedgelet import _reference_encode_to_target
+
+M_CAP = 32
+TARGET = 0.05
+
+
+def _choices(rng, J, m_cap):
+    """Random per-scale choices: -2 quad, -1 unsplit, else a local index
+    of a valid edgelet; the pixel scale is never split."""
+    out = []
+    for j in range(J + 1):
+        valid = [idx for idx, _, _ in
+                 wedgelet._valid_edgelets(wedgelet.vertex_budget(j, J, J, m_cap))]
+        pick = rng.choice(valid, 1 << 2 * j) if j < J else np.full(1 << 2 * j, -1)
+        kind = rng.random(1 << 2 * j)
+        if j < J:
+            pick = np.where(kind < 0.45, -2, np.where(kind < 0.7, -1, pick))
+        out.append(pick.astype(np.int64))
+    return out
+
+
+def _forcing_scores(choice, J, m_cap):
+    """Scores on which the DP at lambda = 1 makes exactly ``choice``.
+
+    A leaf costs at most 2 and a subtree has at most 4^J leaves, so a
+    square that must be a quad costs 10^6 as a leaf.
+    """
+    flat = np.concatenate(choice)
+    quad, whole = flat == -2, flat == -1
+    sse_whole = np.where(quad, 1e6, np.where(whole, 0.0, 10.0))
+    sse_split = np.where(flat >= 0, 0.0, np.inf)
+    size = flat.size
+    return wedgelet._Scores(J, J, m_cap, sse_whole, sse_split, np.maximum(flat, -1),
+                            np.zeros(size), np.zeros(size), np.zeros(size, np.int64),
+                            np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6])
+def test_pruned_table_equals_the_recursive_walk(J):
+    rng = np.random.default_rng(J)
+    for m_cap in (32, 12):
+        for _ in range(4):
+            choice = _choices(rng, J, m_cap)
+            table = wedgelet._prune(_forcing_scores(choice, J, m_cap), 1.0)
+            rows = list(zip(*(col.tolist() for col in
+                              (table.j, table.ix, table.iy, table.local, table.side))))
+            assert rows == emit_leaves(choice, J)
+            assert table.budgets == wedgelet._budgets(J, J, m_cap)
+            # the table is what the stream carries, in the stream's order
+            partition = table.partition(J, m_cap)
+            again = wedgelet._Leaves.of(partition.leaves, 1 << J, J, m_cap)
+            for name in ("j", "ix", "iy", "local", "side"):
+                assert np.array_equal(getattr(again, name), getattr(table, name))
+            assert partition.validate()
+
+
+def _image(name, n):
+    if name == "disc":
+        return rasterize(disc_star(), n, 4)
+    if name == "petals":
+        spec = make_hypercube(2.0 ** -5, 2.0, 1.0)
+        return rasterize(vertex_function(spec, (1, 0) * (spec.m // 2)), n, 4)
+    return np.random.default_rng(n).random((n, n))
+
+
+def _probe_penalties(f, J):
+    """The 17 penalties ``encode_to_target`` probes at TARGET, each probe
+    decided by its real code."""
+    lams, lo, hi = [0.0], 0.0, 1.0
+    for _ in range(16):
+        mid = (lo + hi) / 2.0
+        code = encode(f, J, J, M_CAP, mid)
+        if math.sqrt(np.mean((decode(code) - f) ** 2)) <= TARGET:
+            lo = mid
+        else:
+            hi = mid
+        lams.append(mid)
+    return lams
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "noise"])
+@pytest.mark.parametrize("J", [6, 7])
+def test_closed_form_bits_and_error_equal_the_decoded_code(name, J):
+    f = _image(name, 1 << J)
+    scores = wedgelet._score(f, J, J, M_CAP)
+    for lam in _probe_penalties(f, J):
+        table = wedgelet._prune(scores, lam)
+        bits, mse = wedgelet._closed_form(f, scores, table)
+        code = wedgelet._quantize(f, table.partition(J, M_CAP))
+        err = math.sqrt(np.mean((decode(code) - f) ** 2))
+        assert bits == code.bit_length == 8 * len(code.to_bytes())
+        assert math.sqrt(mse) == pytest.approx(err, rel=1e-12, abs=0.0)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(wedgelet, name)
+    monkeypatch.setattr(wedgelet, name,
+                        lambda *args, **kw: calls.append(name) or real(*args, **kw))
+    return calls
+
+
+def test_exact_ties_take_the_projected_thetas(monkeypatch):
+    f = _image("petals", 128)
+    solves = _counted(monkeypatch, "_solve")
+    projects = _counted(monkeypatch, "project")
+    code, err, reached = encode_to_target(f, 7, 7, M_CAP, TARGET)
+    # five probes hold a theta / eta of exactly k + 1/2; project solves once more
+    assert len(solves) - len(projects) == 5
+    assert len(projects) == 1
+    ref_code, ref_err, ref_reached = _reference_encode_to_target(f, 7, 7, M_CAP, TARGET)
+    assert code.to_bytes() == ref_code.to_bytes()
+    assert (err, reached) == (ref_err, ref_reached)
+
+
+def test_a_noise_image_matches_the_reference_bisection():
+    f = _image("noise", 64)
+    code, err, reached = encode_to_target(f, 6, 6, M_CAP, TARGET)
+    ref_code, ref_err, ref_reached = _reference_encode_to_target(f, 6, 6, M_CAP, TARGET)
+    assert code.to_bytes() == ref_code.to_bytes()
+    assert err == ref_err
+    assert reached is ref_reached is True
+
+
+def test_the_range_error_comes_at_the_same_probe(monkeypatch):
+    # fine leaves hold small thetas, but the whole square's is its mean, 1.7
+    f = np.random.default_rng(5).uniform(1.5, 1.9, (32, 32))
+    with pytest.raises(RangeError) as ref:
+        _reference_encode_to_target(f, 5, 5, M_CAP, TARGET)
+    lams = []
+    prune = wedgelet._prune
+    monkeypatch.setattr(wedgelet, "_prune", lambda scores, lam: lams.append(lam)
+                        or prune(scores, lam))
+    with pytest.raises(RangeError) as got:
+        encode_to_target(f, 5, 5, M_CAP, TARGET)
+    assert str(got.value) == str(ref.value)
+    assert lams == [0.0, 0.5]  # lambda = 0 meets the target, 1/2 prunes to the root
+    with pytest.raises(RangeError):
+        encode(f, 5, 5, M_CAP, 0.5)
+
+
+@pytest.mark.parametrize("lam", [2.0 ** -12, 2.0 ** -8])
+def test_a_target_equal_to_a_probe_error_is_decided_by_its_decode(lam):
+    f = _image("disc", 64)
+    # the probes at this penalty meet the target exactly, and their closed
+    # form reads an error above it in the last bits
+    code = encode(f, 6, 6, M_CAP, lam)
+    eps = math.sqrt(np.mean((decode(code) - f) ** 2))
+    got = encode_to_target(f, 6, 6, M_CAP, eps)
+    ref = _reference_encode_to_target(f, 6, 6, M_CAP, eps)
+    assert got[0].to_bytes() == ref[0].to_bytes()
+    assert got[1:] == ref[1:] == (eps, True)

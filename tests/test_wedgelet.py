@@ -406,19 +406,19 @@ def test_encode_to_target_matches_reference_bisection(image, J, eps):
     assert reached is (eps == 0.05)
 
 
-def test_encode_to_target_evaluates_each_distinct_partition_once(monkeypatch):
-    pruned, quantized = [], []
-    prune, quantize = wedgelet._prune, wedgelet._quantize
-    monkeypatch.setattr(wedgelet, "_prune",
-                        lambda scores, lam: pruned.append(prune(scores, lam)) or pruned[-1])
-    monkeypatch.setattr(wedgelet, "_quantize",
-                        lambda f, part: quantized.append(part.leaves) or quantize(f, part))
-    code, _, reached = encode_to_target(rasterize(disc_star(), 64, 4), 6, 6, 32, 0.05)
+def test_encode_to_target_projects_and_decodes_once(monkeypatch):
+    calls = []
+    for name in ("project", "decode"):
+        real = getattr(wedgelet, name)
+        monkeypatch.setattr(wedgelet, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    f = rasterize(disc_star(), 64, 4)
+    code, err, reached = encode_to_target(f, 6, 6, 32, 0.05)
     assert reached
-    assert len(pruned) == 17  # lambda = 0, then the 16 bisection steps
-    distinct = {part.leaves for part in pruned}
-    assert len(quantized) == len(distinct) < 17
-    assert set(quantized) == distinct
+    # no probe of this disc is in doubt, so only the code returned is real
+    assert calls == ["project", "decode"]
+    assert code.to_bytes() == _reference_encode_to_target(f, 6, 6, 32, 0.05)[0].to_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
