@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, cartoon, constructors, nnet, quantizer, ratelab, wedgelet
-from .exceptions import ApproxRateError, FormatError
+from .exceptions import ApproxRateError, DomainError, FormatError
 from .splines import bspline_closed
 
 FORMAT_VERSIONS = {
@@ -204,6 +204,8 @@ def _run_build(args):
 
 
 def _run_bspline(args):
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     xs = np.linspace(0.0, float(args.m), args.samples)
     rows = [f"{_fmt(x)},{_fmt(bspline_closed(args.m, x))}" for x in xs]
     _write_text(args.out, "\n".join(rows) + "\n")
@@ -243,8 +245,9 @@ def _run_star(args):
         star = cartoon.disc_star(beta=args.beta, holder_C=args.C)
     else:
         spec = cartoon.make_hypercube(args.delta, args.beta, args.C)
-        xi = [1] * spec.m if args.xi is None else \
-            [1 if ch == "1" else 0 for ch in args.xi]
+        if args.xi is not None and set(args.xi) - {"0", "1"}:
+            raise DomainError(f"xi {args.xi!r} holds a character other than 0 or 1")
+        xi = [1] * spec.m if args.xi is None else [int(ch) for ch in args.xi]
         if len(xi) != spec.m:
             raise ApproxRateError(
                 f"xi has {len(xi)} bits but the hypercube dimension is {spec.m}")

@@ -519,8 +519,8 @@ def _pair_solve(v, v_other, grams, norm: float):
     its other side's, through the pair's 2x2 normal equations.
 
     ``grams`` holds per leaf (g, g_other, g01, det) at norm 1, as
-    ``_sided`` orders them; the one pair solve of ``project`` and of the
-    probes of ``encode_to_target``.
+    ``_split_masks`` orders them; the one pair solve of ``project`` and
+    of ``_score``.
     """
     g, g_other, g01, det = grams
     coef = (g_other * norm * v - g01 * norm * v_other) / (det * (norm * norm))
@@ -707,19 +707,9 @@ def _split_masks(table, j: int, sel):
     masks = _expand(entry, pos)
     side1 = table.side[sel] == 1
     masks[side1] = 1.0 - masks[side1]
-    return masks, _sided(entry.g00[pos], entry.g01[pos], entry.g11[pos], entry.det[pos],
-                         side1)
-
-
-def _sided(g00, g01, g11, det, side1):
-    """Pair Grams as (g, g_other, g01, det) from each leaf's own side."""
-    return np.where(side1, g11, g00), np.where(side1, g00, g11), g01, det
-
-
-def _best_splits(blocks, sums, sumsq, masks: _Masks, norm: float):
-    """Smallest two-wedge squared error per square and its local index."""
-    best, pos, _ = _split_winners(blocks, sums, sumsq, masks, norm)
-    return best, masks.local[pos]
+    g00, g11 = entry.g00[pos], entry.g11[pos]
+    return masks, (np.where(side1, g11, g00), np.where(side1, g00, g11),
+                   entry.g01[pos], entry.det[pos])
 
 
 def _split_winners(blocks, sums, sumsq, masks: _Masks, norm: float):
@@ -783,18 +773,18 @@ def _first(j):
 
 @dataclass(frozen=True)
 class _Scores:
-    """Penalty-free costs of every square of one image.
+    """Penalty-free costs and coefficients of every square of one image.
 
     Every array is flat over the scales: square i of scale j, at
     (ix, iy) = (i mod 2^j, i div 2^j), is entry ``_first(j) + i``.
     ``sse_whole`` is the squared error of the square kept whole,
     ``sse_split`` the smallest over its valid edgelet splits (inf at the
     pixel scale) and ``local`` that edgelet's local index (-1 when there
-    is none).  For the projection of a pruned partition, ``sums`` holds
-    the square's pixel sum, ``v0`` the chosen edgelet's side-0 inner
-    product in norm units, and ``gram`` the column of its pair Grams
-    (g00, g01, g11, det at norm 1) in ``grams``.  ``unsplit``, ``split``
-    and ``edge`` view the first three per scale.
+    is none).  ``theta`` is the coefficient of the square kept whole, and
+    ``theta0`` and ``theta1`` those of sides 0 and 1 of its winning split,
+    each in normalized-mask units as ``project`` gives them; ``cross`` is
+    that split's mask cosine g01 / sqrt(g00 g11).  A pruned partition's
+    leaves read their thetas from these (see ``_closed_form``).
     """
 
     J: int
@@ -803,25 +793,10 @@ class _Scores:
     sse_whole: np.ndarray
     sse_split: np.ndarray
     local: np.ndarray
-    sums: np.ndarray
-    v0: np.ndarray
-    gram: np.ndarray
-    grams: np.ndarray
-
-    def _per_scale(self, flat):
-        return tuple(flat[_first(j):_first(j + 1)] for j in range(self.J + 1))
-
-    @cached_property
-    def unsplit(self):
-        return self._per_scale(self.sse_whole)
-
-    @cached_property
-    def split(self):
-        return self._per_scale(self.sse_split)
-
-    @cached_property
-    def edge(self):
-        return self._per_scale(self.local)
+    theta: np.ndarray
+    theta0: np.ndarray
+    theta1: np.ndarray
+    cross: np.ndarray
 
 
 def _constant_squares(f, J: int):
@@ -872,38 +847,42 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     ties go to the smaller local index.  The penalty plays no part, so one
     score serves every lambda.  Of the constant squares of a scale, one
     per distinct value is scored (see ``_distinct_squares``).  Each
-    square also keeps its pixel sum and the winner's v0 and Grams, from
-    which any pruned partition's projection follows (see ``_closed_form``).
+    square also keeps its coefficients, kept whole and split by the
+    winner, from which any pruned partition's code follows (see
+    ``_closed_form``).
     """
     n = 1 << J
     norm = 1.0 / (n * n)
     constant = _constant_squares(f, J)
     total = _first(J + 1)
-    sse_whole, sums, v0 = np.empty(total), np.empty(total), np.zeros(total)
+    sse_whole, theta = np.empty(total), np.empty(total)
+    theta0, theta1, cross = np.zeros(total), np.zeros(total), np.zeros(total)
     sse_split = np.full(total, np.inf)
-    local, gram = np.full(total, -1, dtype=np.int64), np.zeros(total, dtype=np.int64)
-    grams, offset = [np.zeros((4, 0))], 0
+    local = np.full(total, -1, dtype=np.int64)
     for j in range(J + 1):
         size = 1 << (J - j)
         nsq = 1 << (2 * j)
         at = slice(_first(j), _first(j + 1))
         blocks = _tiles(f, j).transpose(0, 2, 1, 3)
         blocks = blocks.reshape(nsq, size, size)  # index = iy * 2^j + ix
-        sums[at] = blocks.sum(axis=(1, 2))
+        sums = blocks.sum(axis=(1, 2))
         sumsq = (blocks * blocks).sum(axis=(1, 2))
-        sse_whole[at] = (sumsq - sums[at] * sums[at] / (size * size)) * norm
+        sse_whole[at] = (sumsq - sums * sums / (size * size)) * norm
+        theta[at] = np.ldexp(sums * norm, j)  # g = 4^-j, so this is v / sqrt(g) exactly
         if j == J:
             continue
         masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
         rows, stand = _distinct_squares(*constant[j])
-        best, pos, won = _split_winners(blocks.reshape(nsq, -1)[rows], sums[at][rows],
-                                        sumsq[rows], masks, norm)
-        sse_split[at], local[at], v0[at] = best[stand], masks.local[pos[stand]], won[stand]
-        gram[at] = offset + pos[stand]
-        grams.append(np.stack([masks.g00, masks.g01, masks.g11, masks.det]))
-        offset += masks.local.size
-    return _Scores(J, K, m_cap, sse_whole, sse_split, local, sums, v0, gram,
-                   np.concatenate(grams, axis=1))
+        best, pos, v0 = _split_winners(blocks.reshape(nsq, -1)[rows], sums[rows],
+                                       sumsq[rows], masks, norm)
+        pos, v0 = pos[stand], v0[stand]
+        sse_split[at], local[at] = best[stand], masks.local[pos]
+        g00, g01, g11, det = (g[pos] for g in (masks.g00, masks.g01, masks.g11, masks.det))
+        v1 = sums * norm - v0
+        theta0[at] = _pair_solve(v0, v1, (g00, g11, g01, det), norm)[1]
+        theta1[at] = _pair_solve(v1, v0, (g11, g00, g01, det), norm)[1]
+        cross[at] = g01 / np.sqrt(g00 * g11)
+    return _Scores(J, K, m_cap, sse_whole, sse_split, local, theta, theta0, theta1, cross)
 
 
 def _prune(scores: _Scores, lam: float) -> _Leaves:
@@ -918,14 +897,14 @@ def _prune(scores: _Scores, lam: float) -> _Leaves:
     square at the pixel scale, then by side.
     """
     J = scores.J
-    unsplit, split = scores.unsplit, scores.split
     cut = np.empty(_first(J + 1), dtype=bool)  # split, if a leaf
     keep = [None] * (J + 1)  # a leaf rather than a quad
     best_cost = None
     for j in range(J, -1, -1):
-        cost_leaf = unsplit[j] + lam
-        cost_split = split[j] + 2.0 * lam
-        use_split = np.less(cost_split, cost_leaf, out=cut[_first(j):_first(j + 1)])
+        at = slice(_first(j), _first(j + 1))
+        cost_leaf = scores.sse_whole[at] + lam
+        cost_split = scores.sse_split[at] + 2.0 * lam
+        use_split = np.less(cost_split, cost_leaf, out=cut[at])
         cost_leaf = np.where(use_split, cost_split, cost_leaf)  # tie -> unsplit
         if j < J:
             quad_cost = best_cost.reshape(1 << j, 2, 1 << j, 2).sum(axis=(1, 3)).reshape(-1)
@@ -1150,8 +1129,10 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
 
 
 def _quantize(f, partition: EdRdp) -> WedgeCode:
-    """Project ``f`` onto the partition and round its coefficients to eta."""
-    thetas = np.array(project(f, partition).thetas)
+    """Project ``f`` onto the partition and round its coefficients to eta;
+    the thetas are ``project``'s, with no reconstruction drawn."""
+    table = _Leaves.of(partition.leaves, partition.n, partition.K, partition.m_cap)
+    thetas = _solve(f, table, table.pairs())[1]
     eta = 1.0 / (partition.n * partition.n)
     over = np.flatnonzero(np.abs(thetas) > 1.0 + eta + 1e-12)
     if over.size:
@@ -1266,7 +1247,7 @@ def _probe(f, scores: _Scores, table: _Leaves, target: float):
     closed = _closed_form(f, scores, table)
     if closed is not None:
         bits, mse = closed
-        energy = scores.sse_whole[0] + (scores.sums[0] / (1 << 2 * scores.J)) ** 2
+        energy = scores.sse_whole[0] + scores.theta[0] ** 2
         if abs(mse - target * target) > 2e-9 * target * target + 1e-12 * energy:
             return bits, math.sqrt(mse), None
     return _realize(f, table, scores.K, scores.m_cap)
@@ -1277,31 +1258,25 @@ def _closed_form(f, scores: _Scores, table: _Leaves):
     table ``_prune`` gave, read from the scores; None when some theta is
     within a relative 1e-9 of the coefficient bound.
 
-    A square kept whole has theta = sum * norm / sqrt(g); the sides of a
-    split square come from its scored v0 through ``_pair_solve``.  Scored
-    and projected inner products may differ in the last bits, so when
-    some theta / eta is within a relative 1e-9 of a half-integer, where q
-    could round the other way, every theta comes from ``project``'s own
-    solve instead.  The squared error is exact in closed form, since the
-    leaves are disjoint and the projection residual is orthogonal to
-    their span: the squares' scored squared errors plus
-    (theta - q eta)^T G (theta - q eta) over each square's leaves, with G
-    the Gram of their unit-norm masks.  The bits sum ``_layout``'s field
+    Each leaf's theta is gathered from its square's scored ones: the
+    whole square's, or that of its side of the winning split, which is
+    the split ``_prune`` keeps.  Scored and projected inner products may
+    differ in the last bits, so when some theta / eta is within a
+    relative 1e-9 of a half-integer, where q could round the other way,
+    every theta comes from ``project``'s own solve instead.  The squared
+    error is exact in closed form, since the leaves are disjoint and the
+    projection residual is orthogonal to their span: the squares' scored
+    squared errors plus (theta - q eta)^T G (theta - q eta) over each
+    square's leaves, with G the Gram of their unit-norm masks, whose off
+    diagonal is the scored ``cross``.  The bits sum ``_layout``'s field
     widths over the records with q != 0.
     """
     J, K, m_cap = scores.J, scores.K, scores.m_cap
-    eta = norm = 1.0 / (1 << 2 * J)
-    j, split = table.j, table.local >= 0
+    eta = 1.0 / (1 << 2 * J)
+    j, split, side0 = table.j, table.local >= 0, table.side == 0
     at = _first(j) + (table.iy << j) + table.ix
-    v = scores.sums[at] * norm
-    thetas = np.ldexp(v, j)  # g = 4^-j, so this is v / sqrt(g) exactly
-    cut = np.flatnonzero(split)
-    g00, g01, g11, det = scores.grams[:, scores.gram[at[cut]]]
-    side1 = table.side[cut] == 1
-    v0 = scores.v0[at[cut]]
-    v1 = v[cut] - v0
-    thetas[cut] = _pair_solve(np.where(side1, v1, v0), np.where(side1, v0, v1),
-                              _sided(g00, g01, g11, det, side1), norm)[1]
+    thetas = np.where(split, np.where(side0, scores.theta0[at], scores.theta1[at]),
+                      scores.theta[at])
     if np.any(np.abs(thetas) > (1.0 + eta + 1e-12) * (1.0 - 1e-9)):
         return None
     x = np.abs(thetas) / eta
@@ -1309,9 +1284,9 @@ def _closed_form(f, scores: _Scores, table: _Leaves):
         thetas = _solve(f, table, table.partners())[1]
     q = _round_half_toward_zero(thetas / eta)
     d = thetas - q * eta
-    first = cut[~side1]  # side 0 of each split square; side 1 is the next row
-    cross = g01[~side1] / np.sqrt(g00[~side1] * g11[~side1])
-    sse = np.where(split, scores.sse_split[at], scores.sse_whole[at])[table.side == 0]
+    first = np.flatnonzero(split & side0)  # side 1 of a split square is the next row
+    sse = np.where(split, scores.sse_split[at], scores.sse_whole[at])[side0]
+    cross = scores.cross[at[first]]
     mse = sse.sum() + np.sum(d * d) + 2.0 * np.sum(d[first] * d[first + 1] * cross)
     sbits, cbits, _, splits = _layout(J, K, m_cap)
     ebits = np.array([width for _, width, _ in splits])

@@ -33,6 +33,14 @@ def test_bspline_rows(capsys, tmp_path):
     assert float(v) >= 0.0
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_bspline_without_samples_exits_1(capsys, samples):
+    assert run(["bspline", "--m", "3", "--samples", samples, "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("DomainError:")
+    assert captured.out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["bspline", "--m", "3", "--bogus"]) == 2
     assert run(["frobnicate"]) == 2
@@ -139,6 +147,15 @@ def test_star_xi_length_mismatch_exits_1(tmp_path):
     rc = run(["star", "--kind", "petals", "--delta", "0.0625", "--xi", "101",
               "--n", "32", "--out", "raw", "--path", str(tmp_path / "x.raw")])
     assert rc == 1
+
+
+def test_star_xi_with_a_character_other_than_0_or_1_exits_1(tmp_path, capsys):
+    # ten characters for the ten petals at this delta
+    rc = run(["star", "--kind", "petals", "--delta", "0.0625", "--xi", "12ab0x1010",
+              "--n", "32", "--out", "raw", "--path", str(tmp_path / "x.raw")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("DomainError:")
+    assert not (tmp_path / "x.raw").exists()
 
 
 def test_rates_csv(tmp_path):

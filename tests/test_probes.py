@@ -47,10 +47,9 @@ def _forcing_scores(choice, J, m_cap):
     quad, whole = flat == -2, flat == -1
     sse_whole = np.where(quad, 1e6, np.where(whole, 0.0, 10.0))
     sse_split = np.where(flat >= 0, 0.0, np.inf)
-    size = flat.size
+    zeros = np.zeros(flat.size)
     return wedgelet._Scores(J, J, m_cap, sse_whole, sse_split, np.maximum(flat, -1),
-                            np.zeros(size), np.zeros(size), np.zeros(size, np.int64),
-                            np.zeros((4, 1)))
+                            zeros, zeros, zeros, zeros)
 
 
 @pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6])
@@ -110,6 +109,32 @@ def test_closed_form_bits_and_error_equal_the_decoded_code(name, J):
         assert math.sqrt(mse) == pytest.approx(err, rel=1e-12, abs=0.0)
 
 
+def _scored_thetas(scores, table):
+    """Each leaf's theta as stored in the scores: its square's whole, or
+    that of its side of the square's winning split."""
+    at = wedgelet._first(table.j) + (table.iy << table.j) + table.ix
+    return np.where(table.local < 0, scores.theta[at],
+                    np.where(table.side == 0, scores.theta0[at], scores.theta1[at]))
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "noise"])
+@pytest.mark.parametrize("J", [6, 7])
+def test_scored_thetas_equal_the_projection(name, J):
+    # the closed form reads every probe's thetas from the scores; on a
+    # cartoon every pixel is a multiple of 1/16, so every sum is exact and
+    # they equal the projection's bit for bit
+    f = _image(name, 1 << J)
+    scores = wedgelet._score(f, J, J, M_CAP)
+    for lam in _probe_penalties(f, J):
+        table = wedgelet._prune(scores, lam)
+        thetas = wedgelet._solve(f, table, table.pairs())[1]
+        if name == "noise":
+            np.testing.assert_allclose(_scored_thetas(scores, table), thetas,
+                                       rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(_scored_thetas(scores, table), thetas)
+
+
 def _counted(monkeypatch, name):
     calls = []
     real = getattr(wedgelet, name)
@@ -121,11 +146,11 @@ def _counted(monkeypatch, name):
 def test_exact_ties_take_the_projected_thetas(monkeypatch):
     f = _image("petals", 128)
     solves = _counted(monkeypatch, "_solve")
-    projects = _counted(monkeypatch, "project")
+    quantizes = _counted(monkeypatch, "_quantize")
     code, err, reached = encode_to_target(f, 7, 7, M_CAP, TARGET)
-    # five probes hold a theta / eta of exactly k + 1/2; project solves once more
-    assert len(solves) - len(projects) == 5
-    assert len(projects) == 1
+    # five probes hold a theta / eta of exactly k + 1/2; _quantize solves once more
+    assert len(solves) - len(quantizes) == 5
+    assert len(quantizes) == 1
     ref_code, ref_err, ref_reached = _reference_encode_to_target(f, 7, 7, M_CAP, TARGET)
     assert code.to_bytes() == ref_code.to_bytes()
     assert (err, reached) == (ref_err, ref_reached)

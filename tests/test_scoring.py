@@ -93,6 +93,11 @@ def test_dictionary_lists_whole_pixels_outside_the_first_run(monkeypatch):
     assert list(masks.run_hi[0]) == [3] * 16
 
 
+def _at(flat, j):
+    """Scale j of an array of ``_Scores``, flat over the scales."""
+    return flat[wedgelet._first(j):wedgelet._first(j + 1)]
+
+
 def _blocks(f, j, size):
     nsq = 1 << (2 * j)
     blocks = f.reshape(1 << j, size, 1 << j, size).transpose(0, 2, 1, 3)
@@ -153,15 +158,17 @@ def test_score_matches_a_dense_per_edgelet_reference(m_cap):
     masks = _reference_masks(J, K, m_cap)
     for f in cartoons + [noise]:
         scores = _score(f, J, K, m_cap)
-        assert np.all(np.isinf(scores.split[J])) and np.all(scores.edge[J] == -1)
+        assert np.all(np.isinf(_at(scores.sse_split, J)))
+        assert np.all(_at(scores.local, J) == -1)
         for j, (best, edge) in enumerate(_reference_score(f, J, masks)):
             if f is noise:
-                np.testing.assert_allclose(scores.split[j], best, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(_at(scores.sse_split, j), best,
+                                           rtol=0, atol=1e-12)
             else:
                 # pixels are multiples of 1/16, so every sum is exact and
                 # the scores agree bit for bit
-                assert np.array_equal(scores.split[j], best)
-                assert np.array_equal(scores.edge[j], edge)
+                assert np.array_equal(_at(scores.sse_split, j), best)
+                assert np.array_equal(_at(scores.local, j), edge)
 
 
 def test_second_score_renders_no_mask(monkeypatch):
@@ -173,25 +180,26 @@ def test_second_score_renders_no_mask(monkeypatch):
                         lambda *args: calls.append(args) or render(*args))
     again = _score(f, 5, 5, 32)
     assert calls == []
-    for j in range(6):
-        assert np.array_equal(again.split[j], first.split[j])
-        assert np.array_equal(again.edge[j], first.edge[j])
+    assert np.array_equal(again.sse_split, first.sse_split)
+    assert np.array_equal(again.local, first.local)
     # the entries are position-free, so a coarser grid shares them too
     _score(rasterize(disc_star(), 16, 4), 4, 4, 32)
     assert calls == []
 
 
 def _full_pass(f, J, K, m_cap):
-    """Per scale j < J, ``_best_splits`` over every square, none shared."""
+    """Per scale j < J, ``_split_winners`` over every square, none shared:
+    (best split SSE, its local index)."""
     n = 1 << J
     out = []
     for j in range(J):
         size = n >> j
         blocks = _blocks(f, j, size)
         masks = _dictionary(vertex_budget(j, J, K, m_cap), size)
-        out.append(wedgelet._best_splits(
+        best, pos, _ = wedgelet._split_winners(
             blocks.reshape(len(blocks), -1), blocks.sum(axis=(1, 2)),
-            (blocks * blocks).sum(axis=(1, 2)), masks, 1.0 / (n * n)))
+            (blocks * blocks).sum(axis=(1, 2)), masks, 1.0 / (n * n))
+        out.append((best, masks.local[pos]))
     return out
 
 
@@ -234,5 +242,5 @@ def test_score_equals_a_full_pass_over_every_square(name, n):
         assert shared == [J - 3, J - 2, J - 1]
     scores = _score(f, J, J, 32)
     for j, (best, edge) in enumerate(_full_pass(f, J, J, 32)):
-        assert np.array_equal(scores.split[j], best)
-        assert np.array_equal(scores.edge[j], edge)
+        assert np.array_equal(_at(scores.sse_split, j), best)
+        assert np.array_equal(_at(scores.local, j), edge)

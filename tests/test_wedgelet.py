@@ -408,7 +408,7 @@ def test_encode_to_target_matches_reference_bisection(image, J, eps):
 
 def test_encode_to_target_projects_and_decodes_once(monkeypatch):
     calls = []
-    for name in ("project", "decode"):
+    for name in ("_quantize", "decode"):
         real = getattr(wedgelet, name)
         monkeypatch.setattr(wedgelet, name,
                             lambda *args, name=name, real=real:
@@ -417,7 +417,7 @@ def test_encode_to_target_projects_and_decodes_once(monkeypatch):
     code, err, reached = encode_to_target(f, 6, 6, 32, 0.05)
     assert reached
     # no probe of this disc is in doubt, so only the code returned is real
-    assert calls == ["project", "decode"]
+    assert calls == ["_quantize", "decode"]
     assert code.to_bytes() == _reference_encode_to_target(f, 6, 6, 32, 0.05)[0].to_bytes()
 
 
