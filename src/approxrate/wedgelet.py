@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -382,20 +382,25 @@ class _Leaves:
         cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
         return cls(J, budgets, *cols)
 
-    def partition(self, K: int, m_cap: int) -> EdRdp:
-        """The leaves as an ``EdRdp``, for a table where side 1 of a split
-        square follows its side 0, as in ``_prune``'s; the two sides share
-        one square and one edgelet."""
+    def leaves(self) -> tuple:
+        """The rows as ``EdRdpLeaf`` objects: a square per row, and an
+        edgelet per split row."""
         leaves = []
         cols = (self.j, self.ix, self.iy, self.local, self.side)
         for j, ix, iy, local, side in zip(*(col.tolist() for col in cols)):
-            if side:
-                leaves.append(EdRdpLeaf(leaves[-1].square, (leaves[-1].edgelet, 1)))
-                continue
             sq = DyadicSquare(j, ix, iy)
             leaves.append(EdRdpLeaf(sq, None) if local < 0 else EdRdpLeaf(
-                sq, (Edgelet.from_local_index(sq, local, self.budgets[j]), 0)))
-        return EdRdp(tuple(leaves), 1 << self.J, K, m_cap)
+                sq, (Edgelet.from_local_index(sq, local, self.budgets[j]), side)))
+        return tuple(leaves)
+
+    def partition(self, K: int, m_cap: int) -> EdRdp:
+        """The leaves as an ``EdRdp``."""
+        return EdRdp(self.leaves(), 1 << self.J, K, m_cap)
+
+    def take(self, rows) -> "_Leaves":
+        """The table of the leaves ``rows``, an index or a mask."""
+        return _Leaves(self.J, self.budgets, self.j[rows], self.ix[rows], self.iy[rows],
+                       self.local[rows], self.side[rows])
 
     def partners(self):
         """Index of the leaf on the other side of each leaf's square, or -1.
@@ -965,21 +970,6 @@ def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
     return sse + lam * len(partition.leaves)
 
 
-class _BitReader:
-    """Fields read in order from a payload, as one string of '0'/'1'."""
-
-    def __init__(self, data: bytes):
-        self.bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") \
-            if data else ""
-        self.pos = 0
-
-    def read(self, width: int) -> int:
-        start, self.pos = self.pos, self.pos + width
-        if self.pos > len(self.bits):
-            raise CorruptionError("payload truncated")
-        return int(self.bits[start:self.pos] or "0", 2)
-
-
 def _budgets(J: int, K: int, m_cap: int) -> tuple:
     """M_j for the scales j = 0..J of a stream with this header."""
     return tuple(m_j for m_j, _, _ in _layout(J, K, m_cap)[3])
@@ -1010,7 +1000,6 @@ def _layout(J: int, K: int, m_cap: int):
     return J.bit_length(), (2 * offset).bit_length(), offset, tuple(splits)
 
 
-@dataclass(frozen=True)
 class WedgeCode:
     """Decoded header plus per-leaf records (leaf, integer coefficient q).
 
@@ -1019,12 +1008,62 @@ class WedgeCode:
     little endian), record count (4-byte little endian), then per record
     [scale j][ix: j bits][iy: j bits][split flag][edgelet index][side]
     [coefficient field q + n^2 + 1], zero-padded to a byte boundary.
+
+    A code keeps its records as a leaf table plus a q column, which
+    ``decode``, ``to_bytes`` and ``bit_length`` read.  A code that
+    ``from_bytes`` or the encoder makes holds only the table, and
+    ``records`` is built from it the first time a caller reads it.  A code
+    made from records gets its table once, when first used, through
+    ``_Leaves.of`` and ``_coefficients``, the checks for records from
+    outside.  Codes are immutable, and equal when their headers and
+    records are.
     """
 
-    J: int
-    K: int
-    m_cap: int
-    records: tuple  # of (EdRdpLeaf, int q)
+    def __init__(self, J: int, K: int, m_cap: int, records: tuple):
+        self.__dict__.update(J=J, K=K, m_cap=m_cap, records=records)
+
+    @classmethod
+    def _of_table(cls, J: int, K: int, m_cap: int, table: "_Leaves", q) -> "WedgeCode":
+        """The code of a checked table and its int64 q column."""
+        code = cls.__new__(cls)
+        code.__dict__.update(J=J, K=K, m_cap=m_cap, _table=(table, q))
+        return code
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.J, self.K, self.m_cap, self.records) \
+            == (other.J, other.K, other.m_cap, other.records)
+
+    def __hash__(self):
+        return hash((self.J, self.K, self.m_cap, self.records))
+
+    def __repr__(self):
+        return (f"WedgeCode(J={self.J!r}, K={self.K!r}, m_cap={self.m_cap!r}, "
+                f"records={self.records!r})")
+
+    @cached_property
+    def records(self) -> tuple:
+        """(EdRdpLeaf, q) per record, in stream order."""
+        table, q = self._table
+        return tuple(zip(table.leaves(), q.tolist()))
+
+    @cached_property
+    def _table(self):
+        """(leaf table, q as int64) of the records.
+
+        A header no stream can carry, or a leaf ``_Leaves.of`` refuses, is
+        a ``FormatError``; q outside the alphabet is a ``RangeError``.
+        """
+        offset = _layout(self.J, self.K, self.m_cap)[2]
+        table = _Leaves.of([leaf for leaf, _ in self.records], self.n, self.K, self.m_cap)
+        return table, _coefficients(self.records, offset)
 
     @property
     def n(self):
@@ -1044,13 +1083,10 @@ class WedgeCode:
 
         A record is scale, ix, iy, split flag, edgelet index, side and
         coefficient; the index and side of an unsplit leaf are 0 bits wide.
-        A leaf ``_Leaves.of`` refuses, or a value wider than its field, is
-        a ``FormatError``; q outside the alphabet is a ``RangeError``.
+        A value wider than its field is a ``FormatError``.
         """
         sbits, cbits, offset, splits = _layout(self.J, self.K, self.m_cap)
-        table = _Leaves.of([leaf for leaf, _ in self.records], self.n, self.K,
-                           self.m_cap)
-        qs = _coefficients(self.records, offset)
+        table, qs = self._table
         split, one = table.local >= 0, np.ones_like(table.j)
         ebits = np.array([width for _, width, _ in splits])[table.j] * split
         values = np.stack([table.j, table.ix, table.iy, split, table.local * split,
@@ -1063,7 +1099,7 @@ class WedgeCode:
 
     def to_bytes(self) -> bytes:
         header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
-                                      self.K, self.m_cap, len(self.records))
+                                      self.K, self.m_cap, self._table[1].size)
         values, widths = self._fields()
         ends = np.repeat(np.cumsum(widths), widths)  # where each bit's field ends
         bits = np.repeat(values, widths) >> (ends - 1 - np.arange(ends.size)) & 1
@@ -1071,6 +1107,16 @@ class WedgeCode:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WedgeCode":
+        """The code a stream holds.
+
+        The stream's own field checks stand in for ``_Leaves.of``: a short
+        or truncated stream, bad magic, another version, a scale beyond J,
+        an edgelet index beyond its scale's pairs, a coefficient outside
+        the alphabet, or bytes or set bits after the last record's padding
+        is a ``CorruptionError``, and a header no stream can carry a
+        ``FormatError``.  The records go straight into the code's table;
+        their leaf objects are built only when a caller reads ``records``.
+        """
         if len(data) < _HEADER_BYTES:
             raise CorruptionError("stream shorter than the fixed header")
         if data[:4] != _MAGIC:
@@ -1079,29 +1125,61 @@ class WedgeCode:
         if version != WEDGE_FORMAT_VERSION:
             raise CorruptionError(f"unsupported version {version}")
         sbits, cbits, offset, splits = _layout(J, K, m_cap)
-        r = _BitReader(data[_HEADER_BYTES:])
-        records = []
+        total = 8 * (len(data) - _HEADER_BYTES)
+        # no record is shorter than an unsplit one of scale 0
+        if count * (sbits + 1 + cbits) > total:
+            raise CorruptionError("payload truncated")
+        # eight zero bytes past the payload: the scale and flag reads below
+        # end at most 29 bits past it
+        bits = np.unpackbits(np.frombuffer(data[_HEADER_BYTES:] + bytes(8), np.uint8))
+        lead = np.zeros(total + 1, np.uint8)  # the scale field that begins at each bit
+        for k in range(sbits):
+            lead = 2 * lead + bits[k:k + total + 1]
+        # each record's start follows from the last one's scale and split flag
+        scale, flag = memoryview(lead), memoryview(bits)
+        unsplit = [sbits + 2 * j + 1 + cbits for j in range(J + 1)]  # record widths
+        extra = [width + 1 for _, width, _ in splits]  # a split's index and side
+        starts, pos = [], 0
         for _ in range(count):
-            j = r.read(sbits)
+            j = scale[pos]
             if j > J:
                 raise CorruptionError("leaf scale beyond header scale")
-            sq = DyadicSquare(j, r.read(j), r.read(j))
-            if r.read(1):
-                m_j, ebits, pairs = splits[j]
-                idx = r.read(ebits)
-                if idx >= pairs:
-                    raise CorruptionError("edgelet index out of range")
-                leaf = EdRdpLeaf(sq, (Edgelet.from_local_index(sq, idx, m_j), r.read(1)))
-            else:
-                leaf = EdRdpLeaf(sq, None)
-            q = r.read(cbits) - offset
-            if abs(q) > offset:
-                raise CorruptionError("coefficient outside the stream alphabet")
-            records.append((leaf, q))
-        tail = r.bits[r.pos:]
-        if len(tail) >= 8 or "1" in tail:
+            starts.append(pos)
+            pos += unsplit[j] + flag[pos + sbits + 2 * j] * extra[j]
+            if pos > total:
+                raise CorruptionError("payload truncated")
+        if total - pos >= 8 or bits[pos:total].any():
             raise CorruptionError("bytes or set padding bits after the last record")
-        return cls(J, K, m_cap, tuple(records))
+        start = np.array(starts, dtype=np.int64)
+        j = lead[start].astype(np.int64)
+        at = start + sbits + 2 * j + 1  # just after the split flag
+        split = bits[at - 1].astype(np.int64)
+        ebits = np.array([width for _, width, _ in splits])[j] * split
+        ix, iy, local, side, q = _read(
+            data[_HEADER_BYTES:],
+            np.stack([start + sbits, start + sbits + j, at, at + ebits, at + ebits + split]),
+            np.stack([j, j, ebits, split, np.full_like(j, cbits)]))
+        if np.any(local >= np.array([pairs for _, _, pairs in splits])[j]):
+            raise CorruptionError("edgelet index out of range")
+        q -= offset
+        if np.any(np.abs(q) > offset):
+            raise CorruptionError("coefficient outside the stream alphabet")
+        table = _Leaves(J, _budgets(J, K, m_cap), j, ix, iy, np.where(split, local, -1), side)
+        return cls._of_table(J, K, m_cap, table, q)
+
+
+def _read(payload: bytes, start, width):
+    """The unsigned fields of ``width`` bits, at most 57, most significant
+    bit first, that begin at bit ``start`` of ``payload``; bits past its
+    end read as 0."""
+    buf = np.frombuffer(payload + bytes(8), np.uint8).astype(np.uint64)
+    size = len(payload) + 1
+    word = np.zeros(size, np.uint64)  # the 64 bits from each byte on
+    for k in range(8):
+        word = word << np.uint64(8) | buf[k:k + size]
+    head = word[start >> 3] << (start & 7).astype(np.uint64)
+    # in two steps, as a shift by 64 bits is undefined
+    return (head >> (63 - width).astype(np.uint64) >> np.uint64(1)).astype(np.int64)
 
 
 def _coefficients(records, offset: int):
@@ -1130,16 +1208,18 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
 
 def _quantize(f, partition: EdRdp) -> WedgeCode:
     """Project ``f`` onto the partition and round its coefficients to eta;
-    the thetas are ``project``'s, with no reconstruction drawn."""
+    the thetas are ``project``'s, with no reconstruction drawn.  The code
+    keeps the rows of the partition's table with q != 0."""
     table = _Leaves.of(partition.leaves, partition.n, partition.K, partition.m_cap)
     thetas = _solve(f, table, table.pairs())[1]
     eta = 1.0 / (partition.n * partition.n)
     over = np.flatnonzero(np.abs(thetas) > 1.0 + eta + 1e-12)
     if over.size:
         raise RangeError(f"coefficient {thetas[over[0]]:.6g} outside [-1-eta, 1+eta]")
-    qs = _round_half_toward_zero(thetas / eta).astype(np.int64).tolist()
-    return WedgeCode(partition.J, partition.K, partition.m_cap,
-                     tuple((leaf, q) for leaf, q in zip(partition.leaves, qs) if q))
+    q = _round_half_toward_zero(thetas / eta).astype(np.int64)
+    keep = q != 0
+    return WedgeCode._of_table(partition.J, partition.K, partition.m_cap, table.take(keep),
+                               q[keep])
 
 
 def _round_half_toward_zero(x):
@@ -1156,9 +1236,11 @@ def _stream_bits(payload: int) -> int:
 def decode(code: WedgeCode) -> np.ndarray:
     """Reconstruct sum_theta_P phi_P; lossless given the stored integers.
 
-    A header no stream can carry, or a leaf it could not carry (see
-    ``_Leaves.of``), is a ``FormatError``, and a coefficient outside the
-    stream's alphabet a ``RangeError``, before the image is allocated.
+    It reads the code's leaf table and builds no leaf object.  For a code
+    made from records, a header no stream can carry, or a leaf it could
+    not carry (see ``_Leaves.of``), is a ``FormatError``, and a
+    coefficient outside the stream's alphabet a ``RangeError``, before the
+    image is allocated; a stream's own field checks have refused both.
     Record squares must be disjoint, except that one square may carry
     sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
     found before any mask is drawn, so the masks never take more than
@@ -1166,12 +1248,11 @@ def decode(code: WedgeCode) -> np.ndarray:
     A whole scale is drawn at once, from the edgelet dictionary; a decode
     that finds no entry built draws only the edgelets its records name.
     """
-    offset = _layout(code.J, code.K, code.m_cap)[2]
+    table, q = code._table
     n = code.n
     norm = 1.0 / (n * n)
-    table = _Leaves.of([leaf for leaf, _ in code.records], n, code.K, code.m_cap)
     table.partners()
-    theta = _coefficients(code.records, offset) * code.eta
+    theta = q * code.eta
     out = np.zeros((n, n))
     for j, whole, cut in table.scales():
         size = n >> j

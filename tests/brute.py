@@ -1,18 +1,27 @@
-"""Independent exhaustive oracle for the penalized partition fit.
+"""Independent reference implementations for the wedge codec's tests.
 
-Enumerates, per square, the cheapest achievable squared error for every
-leaf budget up to a cap (quad splits combine children budgets), which is
-equivalent to enumerating all ED-RDPs with at most that many leaves.  All
-errors come from explicit masks and plain least squares, sharing no code
-with the dynamic program being checked.
+``brute_best_cost`` is an exhaustive oracle for the penalized partition
+fit: it enumerates, per square, the cheapest achievable squared error for
+every leaf budget up to a cap (quad splits combine children budgets),
+which is equivalent to enumerating all ED-RDPs with at most that many
+leaves.  All errors come from explicit masks and plain least squares,
+sharing no code with the dynamic program being checked.
+
+``emit_leaves`` is the recursive walk that fixes the stream's record
+order, and ``read_records`` reads a stream one field at a time.
 """
+
+import struct
 
 import numpy as np
 
+from approxrate.exceptions import CorruptionError
 from approxrate.wedgelet import (
+    WEDGE_FORMAT_VERSION,
     DyadicSquare,
     EdRdpLeaf,
     Edgelet,
+    _layout,
     _valid_edgelets,
     vertex_budget,
     wedge_mask,
@@ -109,3 +118,57 @@ def emit_leaves(choice, J):
     emit(0, 0, 0)
     assert all(j <= J for j, *_ in rows)
     return rows
+
+
+def read_records(data):
+    """The (EdRdpLeaf, q) records of a WDGL stream, read one field at a
+    time from a string of '0'/'1'.
+
+    It refuses a stream with the exception class ``WedgeCode.from_bytes``
+    raises: ``CorruptionError`` for a short or truncated stream, bad magic,
+    another version, a scale beyond J, an edgelet index beyond its scale's
+    pairs, a coefficient outside the alphabet, or bytes or set bits after
+    the last record's padding, and ``FormatError`` (from ``_layout``) for
+    a header no stream can carry.
+    """
+    if len(data) < 13:
+        raise CorruptionError("stream shorter than the fixed header")
+    if data[:4] != b"WDGL":
+        raise CorruptionError("bad magic")
+    version, J, K, m_cap, count = struct.unpack("<BBBHI", data[4:13])
+    if version != WEDGE_FORMAT_VERSION:
+        raise CorruptionError(f"unsupported version {version}")
+    sbits, cbits, offset, splits = _layout(J, K, m_cap)
+    bits = format(int.from_bytes(data[13:], "big"), f"0{8 * (len(data) - 13)}b") \
+        if len(data) > 13 else ""
+    pos = 0
+
+    def read(width):
+        nonlocal pos
+        start, pos = pos, pos + width
+        if pos > len(bits):
+            raise CorruptionError("payload truncated")
+        return int(bits[start:pos] or "0", 2)
+
+    records = []
+    for _ in range(count):
+        j = read(sbits)
+        if j > J:
+            raise CorruptionError("leaf scale beyond header scale")
+        sq = DyadicSquare(j, read(j), read(j))
+        if read(1):
+            m_j, ebits, pairs = splits[j]
+            idx = read(ebits)
+            if idx >= pairs:
+                raise CorruptionError("edgelet index out of range")
+            leaf = EdRdpLeaf(sq, (Edgelet.from_local_index(sq, idx, m_j), read(1)))
+        else:
+            leaf = EdRdpLeaf(sq, None)
+        q = read(cbits) - offset
+        if abs(q) > offset:
+            raise CorruptionError("coefficient outside the stream alphabet")
+        records.append((leaf, q))
+    tail = bits[pos:]
+    if len(tail) >= 8 or "1" in tail:
+        raise CorruptionError("bytes or set padding bits after the last record")
+    return tuple(records)

@@ -24,6 +24,12 @@ count the n = 64 fixtures, keep counting those alone.
 A change to the fit, the projection, the quantizer or the packing that
 alters any stream fails here.
 
+``decoded.sha256``, in ``sha256sum`` format, was written at commit
+d0b49bf: the SHA-256 of the raw file ``approxrate wedge decode`` writes
+for each of the seven streams, named after the stream with ``.raw`` for
+``.wdgl``.  A change to the reader or the decoder that alters any image
+fails here.
+
 The network fixtures were written at commit 0b257be, D = 4 throughout:
 
 - ``bspline_m<m>_k<k>.json``: ``network_to_json`` of
@@ -35,9 +41,11 @@ A change to ``build_bspline_net``, the quantizer or the m that ``find_min_m``
 picks fails here.
 """
 
+import hashlib
 import math
 import struct
 import tracemalloc
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -47,9 +55,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxrate import wedgelet
+from approxrate.cli import write_raw_array
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
 from approxrate.constructors import build_bspline_net
-from approxrate.exceptions import CorruptionError, DegenerateWedgeError, FormatError
+from approxrate.exceptions import (
+    ApproxRateError,
+    CorruptionError,
+    DegenerateWedgeError,
+    FormatError,
+)
 from approxrate.nnet import network_to_json, relu_power
 from approxrate.quantizer import find_min_m, quantize_weights, weight_range_exponent
 from approxrate.wedgelet import (
@@ -60,6 +74,7 @@ from approxrate.wedgelet import (
     encode_to_target,
     vertex_budget,
 )
+from brute import read_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N, J = 64, 6
@@ -256,3 +271,124 @@ def test_a_pixel_scale_above_the_cap_is_refused_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # n^2 float64 values would take 512 MiB
+
+
+ALL_STREAMS = sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*.wdgl"))
+
+
+def _outcome(read, data):
+    """What ``read(data)`` returns, or the class of the package error it
+    raises."""
+    try:
+        return read(data)
+    except ApproxRateError as exc:
+        return type(exc)
+
+
+def _agrees_with_the_field_by_field_reader(data):
+    """``from_bytes`` gives the records ``read_records`` gives, and packs
+    them back to ``data``, or both raise the same exception class."""
+    want = _outcome(read_records, data)
+    assert _outcome(lambda d: WedgeCode.from_bytes(d).records, data) == want
+    if isinstance(want, tuple):
+        assert WedgeCode.from_bytes(data).to_bytes() == data
+
+
+@pytest.mark.parametrize("name", ALL_STREAMS)
+def test_from_bytes_reads_a_golden_stream_as_the_field_by_field_reader(name):
+    _agrees_with_the_field_by_field_reader((GOLDEN / name).read_bytes())
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "seeded"])
+def test_from_bytes_reads_an_n256_stream_as_the_field_by_field_reader(name):
+    code = encode(_image(name, 256), 8, 8, 32, lam=256.0 ** -3)
+    _agrees_with_the_field_by_field_reader(code.to_bytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_STREAMS),
+       st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 7)),
+                min_size=1, max_size=3))
+def test_from_bytes_reads_a_flipped_golden_stream_as_the_field_by_field_reader(
+        name, flips):
+    data = bytearray((GOLDEN / name).read_bytes())
+    for at, bit in flips:
+        data[13 + at % (len(data) - 13)] ^= 1 << bit
+    _agrees_with_the_field_by_field_reader(bytes(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 255),
+       st.integers(1, 16).map(lambda k: 4 * k) | st.integers(0, 0xFFFF),
+       st.integers(0, 8) | st.integers(0, 0xFFFFFFFF), st.binary(max_size=24))
+def test_from_bytes_reads_a_hostile_stream_as_the_field_by_field_reader(
+        J, K, m_cap, count, payload):
+    _agrees_with_the_field_by_field_reader(
+        b"WDGL" + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, J, K, m_cap, count) + payload)
+
+
+def _one_split_stream(idx):
+    """A stream at J = 2, K = 0, M_cap = 4 of one split record of scale 0:
+    scale 00, split flag 1, a 3-bit index into the C(4, 2) = 6 vertex
+    pairs, side 0, the 6-bit field of q = 1 and 3 pad bits."""
+    bits = "00" + "1" + format(idx, "03b") + "0" + format(1 + 17, "06b") + "000"
+    return b"WDGL" + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, 2, 0, 4, 1) \
+        + int(bits, 2).to_bytes(2, "big")
+
+
+def test_from_bytes_refuses_an_edgelet_index_beyond_its_pairs():
+    data = _one_split_stream(5)
+    assert WedgeCode.from_bytes(data).records == read_records(data)
+    assert WedgeCode.from_bytes(data).to_bytes() == data
+    for idx in (6, 7):
+        with pytest.raises(CorruptionError):
+            WedgeCode.from_bytes(_one_split_stream(idx))
+
+
+def test_a_record_count_the_payload_cannot_hold_is_refused_without_allocating():
+    # 3 payload bytes hold no record at J = 12 (4 + 1 + 26 bits at least)
+    header = b"WDGL" + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, 12, 12, 32,
+                                   0xFFFFFFFF)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptionError):
+            WedgeCode.from_bytes(header + bytes(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a list of 2^32 entries would take 32 GiB
+
+
+@pytest.mark.parametrize("name", ALL_STREAMS)
+def test_decode_and_to_bytes_of_a_stream_build_no_leaf_object(name, monkeypatch):
+    calls = Counter()
+    for owner, attr in ((wedgelet.Edgelet, "from_local_index"), (wedgelet._Leaves, "of")):
+        real = owner.__dict__[attr].__func__
+        monkeypatch.setattr(owner, attr, classmethod(
+            lambda cls, *args, real=real, attr=attr: calls.update([attr]) or real(cls, *args)))
+    data = (GOLDEN / name).read_bytes()
+    code = WedgeCode.from_bytes(data)
+    decode(code)
+    assert code.to_bytes() == data
+    assert calls == Counter()
+    records = code.records  # each split leaf builds its edgelet once
+    assert calls == Counter(from_local_index=sum(leaf.split is not None
+                                                 for leaf, _ in records))
+    calls.clear()
+    assert code.records is records
+    assert calls == Counter()
+
+
+DECODED = [line.split() for line in (GOLDEN / "decoded.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest,raw", DECODED)
+def test_decoded_golden_stream_matches_its_digest(digest, raw, tmp_path):
+    code = WedgeCode.from_bytes((GOLDEN / raw).with_suffix(".wdgl").read_bytes())
+    write_raw_array(str(tmp_path / "out.raw"), decode(code))
+    assert hashlib.sha256((tmp_path / "out.raw").read_bytes()).hexdigest() == digest
+
+
+def test_every_golden_stream_has_a_decoded_digest():
+    assert sorted(str(Path(raw).with_suffix(".wdgl")) for _, raw in DECODED) == ALL_STREAMS
+    assert len(ALL_STREAMS) == 7
