@@ -264,7 +264,7 @@ def _run_wedge(args):
     if args.mode == "encode":
         arr = read_raw_array(args.inp)
         n = arr.shape[0]
-        J = args.J if args.J is not None else int(np.log2(n))
+        J = args.J if args.J is not None else max(n.bit_length() - 1, 0)
         K = args.K if args.K is not None else J
         if args.target_eps is not None:
             code, err, reached = wedgelet.encode_to_target(

@@ -393,10 +393,6 @@ class _Leaves:
                 sq, (Edgelet.from_local_index(sq, local, self.budgets[j]), side)))
         return tuple(leaves)
 
-    def partition(self, K: int, m_cap: int) -> EdRdp:
-        """The leaves as an ``EdRdp``."""
-        return EdRdp(self.leaves(), 1 << self.J, K, m_cap)
-
     def take(self, rows) -> "_Leaves":
         """The table of the leaves ``rows``, an index or a mask."""
         return _Leaves(self.J, self.budgets, self.j[rows], self.ix[rows], self.iy[rows],
@@ -950,15 +946,21 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     against the quad split.  The edgelet picked for each square is the one
     with the smallest squared error and does not depend on ``lam``.  Ties
     prefer smaller edgelet indices, then the unsplit leaf, then the leaf
-    over the quad, so results are reproducible bit for bit.
+    over the quad, so results are reproducible bit for bit.  The leaves
+    are the rows of ``_fit``'s table; ``encode`` quantizes the table itself.
     """
+    return EdRdp(_fit(f_array, J, K, m_cap, lam).leaves(), 1 << J, K, m_cap)
+
+
+def _fit(f_array, J: int, K: int, m_cap: int, lam: float) -> _Leaves:
+    """The leaf table ``_prune`` keeps of the checked array at ``lam``."""
     _layout(J, K, m_cap)  # a header no stream can carry is refused unfitted
     f = _check_array(f_array, 1 << J)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam < 0.0:
         raise RangeError("lambda must be >= 0")
-    return _prune(_score(f, J, K, m_cap), lam).partition(K, m_cap)
+    return _prune(_score(f, J, K, m_cap), lam)
 
 
 def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
@@ -1199,27 +1201,24 @@ def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
            lam: float = 0.0) -> WedgeCode:
     """Fit, project, quantize, and pack; zero coefficients are dropped.
 
-    Coefficients are taken against unit-normalized masks, rounded to the
-    nearest multiple of eta = n^-2 with ties toward zero.
+    Coefficients of ``_fit``'s leaf table, against unit-normalized masks,
+    are rounded to the nearest multiple of eta = n^-2 with ties toward zero.
     """
-    f = np.asarray(f_array, dtype=float)  # fit_rdp checks it
-    return _quantize(f, fit_rdp(f, J, K, m_cap, lam))
+    f = np.asarray(f_array, dtype=float)  # _fit checks it
+    return _quantize(f, _fit(f, J, K, m_cap, lam), K, m_cap)
 
 
-def _quantize(f, partition: EdRdp) -> WedgeCode:
-    """Project ``f`` onto the partition and round its coefficients to eta;
-    the thetas are ``project``'s, with no reconstruction drawn.  The code
-    keeps the rows of the partition's table with q != 0."""
-    table = _Leaves.of(partition.leaves, partition.n, partition.K, partition.m_cap)
+def _quantize(f, table: _Leaves, K: int, m_cap: int) -> WedgeCode:
+    """Round to eta the thetas of ``f`` on the leaves of a table ``_prune``
+    gave, ``project``'s with no reconstruction drawn; keep rows with q != 0."""
     thetas = _solve(f, table, table.pairs())[1]
-    eta = 1.0 / (partition.n * partition.n)
+    eta = 1.0 / (1 << 2 * table.J)
     over = np.flatnonzero(np.abs(thetas) > 1.0 + eta + 1e-12)
     if over.size:
         raise RangeError(f"coefficient {thetas[over[0]]:.6g} outside [-1-eta, 1+eta]")
     q = _round_half_toward_zero(thetas / eta).astype(np.int64)
     keep = q != 0
-    return WedgeCode._of_table(partition.J, partition.K, partition.m_cap, table.take(keep),
-                               q[keep])
+    return WedgeCode._of_table(table.J, K, m_cap, table.take(keep), q[keep])
 
 
 def _round_half_toward_zero(x):
@@ -1311,7 +1310,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
 def _realize(f, table: _Leaves, K: int, m_cap: int):
     """(bits, RMS error, code) of a pruned table through ``_quantize`` and
     ``decode``."""
-    code = _quantize(f, table.partition(K, m_cap))
+    code = _quantize(f, table, K, m_cap)
     return code.bit_length, float(np.sqrt(np.mean((decode(code) - f) ** 2))), code
 
 

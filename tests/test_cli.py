@@ -268,6 +268,17 @@ def test_wedge_encode_nan_knob_exits_1(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("DomainError:")
 
 
+@pytest.mark.parametrize("flag,knob", [("--lambda", "0.001"), ("--target-eps", "0.05")])
+@pytest.mark.parametrize("shape,expect", [((0, 0), "1x1"), ((0, 5), "1x1"), ((48, 48), "32x32")])
+def test_wedge_encode_of_a_misshapen_raw_exits_1(tmp_path, capsys, flag, knob, shape, expect):
+    raw = tmp_path / "odd.raw"
+    write_raw_array(str(raw), np.zeros(shape))
+    rc = run(["wedge", "encode", "--in", str(raw), flag, knob, "--out", str(tmp_path / "x.wdgl")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"InputShapeError: expected a {expect} array, got {shape}\n"
+
+
 def test_threads_flag_is_gone():
     assert run(["bspline", "--m", "3", "--samples", "4", "--threads", "2"]) == 2
 

@@ -7,6 +7,7 @@ of the same partition, decoded and measured pixel by pixel.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from approxrate import wedgelet
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
 from approxrate.exceptions import RangeError
-from approxrate.wedgelet import decode, encode, encode_to_target
+from approxrate.wedgelet import decode, encode, encode_to_target, fit_rdp, project
 from brute import emit_leaves
 from test_wedgelet import _reference_encode_to_target
 
@@ -64,7 +65,7 @@ def test_pruned_table_equals_the_recursive_walk(J):
             assert rows == emit_leaves(choice, J)
             assert table.budgets == wedgelet._budgets(J, J, m_cap)
             # the table is what the stream carries, in the stream's order
-            partition = table.partition(J, m_cap)
+            partition = wedgelet.EdRdp(table.leaves(), 1 << J, J, m_cap)
             again = wedgelet._Leaves.of(partition.leaves, 1 << J, J, m_cap)
             for name in ("j", "ix", "iy", "local", "side"):
                 assert np.array_equal(getattr(again, name), getattr(table, name))
@@ -103,7 +104,7 @@ def test_closed_form_bits_and_error_equal_the_decoded_code(name, J):
     for lam in _probe_penalties(f, J):
         table = wedgelet._prune(scores, lam)
         bits, mse = wedgelet._closed_form(f, scores, table)
-        code = wedgelet._quantize(f, table.partition(J, M_CAP))
+        code = wedgelet._quantize(f, table, J, M_CAP)
         err = math.sqrt(np.mean((decode(code) - f) ** 2))
         assert bits == code.bit_length == 8 * len(code.to_bytes())
         assert math.sqrt(mse) == pytest.approx(err, rel=1e-12, abs=0.0)
@@ -193,3 +194,40 @@ def test_a_target_equal_to_a_probe_error_is_decided_by_its_decode(lam):
     ref = _reference_encode_to_target(f, 6, 6, M_CAP, eps)
     assert got[0].to_bytes() == ref[0].to_bytes()
     assert got[1:] == ref[1:] == (eps, True)
+
+
+def test_the_encoder_builds_no_leaf_object(monkeypatch):
+    calls = Counter()
+    for owner, attr in ((wedgelet.Edgelet, "from_local_index"), (wedgelet._Leaves, "of")):
+        real = owner.__dict__[attr].__func__
+        monkeypatch.setattr(owner, attr, classmethod(
+            lambda cls, *args, real=real, attr=attr: calls.update([attr]) or real(cls, *args)))
+    real_leaves = wedgelet._Leaves.leaves
+    monkeypatch.setattr(wedgelet._Leaves, "leaves",
+                        lambda self: calls.update(["leaves"]) or real_leaves(self))
+    f = _image("petals", 128)
+    solves = _counted(monkeypatch, "_solve")
+    encode(f, 7, 7, M_CAP, 128.0 ** -3)
+    assert encode_to_target(f, 7, 7, M_CAP, TARGET)[2]
+    # encode's, the five probes with exact ties, and the code returned
+    assert len(solves) == 1 + 5 + 1
+    assert calls == Counter()
+
+
+def _nearest_half_toward_zero(x: float) -> int:
+    """The integer nearest x, .5 ties toward zero, from |x|'s whole and
+    fractional parts (both exact in floating point)."""
+    whole = math.floor(abs(x))
+    return int(math.copysign(whole + (abs(x) - whole > 0.5), x))
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "noise"])
+@pytest.mark.parametrize("J", [6, 7])
+def test_encode_keeps_the_rounded_thetas_of_the_public_fit(name, J):
+    f = _image(name, 1 << J)
+    eta = 1.0 / (1 << 2 * J)
+    for lam in (0.0, 2.0 ** (-3 * J), 1e-4):
+        partition = fit_rdp(f, J, J, M_CAP, lam)
+        qs = [_nearest_half_toward_zero(theta / eta) for theta in project(f, partition).thetas]
+        expect = [(leaf, q) for leaf, q in zip(partition.leaves, qs) if q != 0]
+        assert list(encode(f, J, J, M_CAP, lam).records) == expect
