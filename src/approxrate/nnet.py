@@ -378,6 +378,123 @@ def _evaluate_dd(net: Network, z: np.ndarray) -> np.ndarray:
     return zh + zl
 
 
+# Constants of _evaluate_bounded's error bound.
+_U = 2.0 ** -53  # float64 unit roundoff
+# Each double-double operation here errs by some tens of u^2 times its
+# operands' magnitude at most (Joldes, Muller and Popescu, ACM TOMS 44(2),
+# 2017, bound the product by 7 u^2; the sloppy sum's last Fast2Sum, which
+# may not be exact after a cancellation, adds the rest); 1024 u^2 covers it
+_U_DD = 2.0 ** -96
+# Scales a nonnegative quantity computed in round-to-nearest from at most
+# 2^22 operations per value to an upper bound on its exact value
+_UP = 1.0 + 2.0 ** -30
+# Dense matrix entries per affine step, which caps a row's operations too
+_DENSE_CAP = 1 << 22
+# Absolute error of one underflowing operation, in either arithmetic
+_TINY = 2.0 ** -1000
+# Double-double splits its operands with Dekker's constant 2^27 + 1, which
+# overflows beyond 2^996; no bound is given for a point that gets near it
+_BIG = 2.0 ** 900
+# _evaluate_bounded takes its columns in blocks whose temporaries hold at
+# most 2^14 floats (128 KiB), or _BLOCK_COLS columns for a very wide net:
+# temporaries of a whole grid, a few MB each, would be mapped and faulted
+# in afresh on every call, a third of the pass in system time
+_BLOCK_ENTRIES = 1 << 14
+_BLOCK_COLS = 64
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the float64 unit roundoff plus
+    the double-double one."""
+    nu = n * (_U + _U_DD)
+    return nu / (1.0 - nu)
+
+
+def _evaluate_bounded(net: Network, z: np.ndarray):
+    """Float64 forward pass with a bound on its distance from ``_evaluate_dd``.
+
+    Returns (value, bound), both (output_dim, n): value is the network in
+    float64 and |value - _evaluate_dd(net, z)| <= bound at every entry.
+    The bound is the a priori one of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 3, carried layer by layer for the
+    float64 pass and the double-double pass at once, and rounded upward:
+
+    - an affine row of n_r terms adds gamma_{n_r+1} (|A|(|z| + e) + |b|)
+      + |A| e, e the bound on its input;
+    - relu_power(k), its power taken by k - 1 multiplications, adds
+      k (max(z, 0) + e)^(k-1) e + gamma_k (max(z, 0) + e)^k;
+    - the final rounding of the double-double value adds 2u (|z| + e).
+
+    The bound is inf wherever it cannot be given: at every point of a
+    logistic_power net or of a net with a step wider than ``_DENSE_CAP``
+    dense entries, and at a point whose values grow near the float range,
+    where double-double itself may overflow.  A batch ``evaluate_batch``
+    would refuse gets inf too, so that its caller meets the refusal there.
+    """
+    if net.activation.kind != "relu_power" or z.ndim != 2 or z.shape[0] != net.input_dim \
+            or any(s.in_dim * s.out_dim > _DENSE_CAP for s in net.steps) \
+            or not (net.max_abs_weight() <= _BIG and np.max(np.abs(z), initial=0.0) <= _BIG):
+        shape = (net.output_dim, z.shape[1])
+        return np.zeros(shape), np.full(shape, np.inf)
+    layers = []
+    for step in net.steps:
+        a = step.matrix()
+        bias = step.bias()[:, None]
+        n_r = np.count_nonzero(a, axis=1)[:, None]
+        g = _gamma(n_r + 1)
+        # rounded upward by folding _UP into every coefficient;
+        # |A|(|z| + e) bounds |A||z_dd| as well as |A||z|
+        layers.append((a, bias, (_UP * (1.0 + g)) * np.abs(a), (_UP * g) * np.abs(a),
+                       _UP * (g * np.abs(bias) + (n_r + 1) * _TINY)))
+    width = max(s.out_dim for s in net.steps)
+    cols = max(_BLOCK_COLS, _BLOCK_ENTRIES // width)
+    shape = (net.output_dim, z.shape[1])
+    value, bound = np.empty(shape), np.empty(shape)
+    with np.errstate(all="ignore"):
+        for lo in range(0, z.shape[1], cols):
+            part = slice(lo, lo + cols)
+            value[:, part], bound[:, part] = _bounded_pass(
+                layers, net.activation.k, z[:, part])
+    return value, bound
+
+
+def _bounded_pass(layers, k, z):
+    """``_evaluate_bounded`` on one block of columns, from the steps' matrix,
+    bias, the two scaled |A| of the bound's affine term and its floor."""
+    size, e = np.abs(z), np.zeros_like(z, dtype=float)  # size = |z|
+    last = len(layers) - 1
+    for layer, (a, bias, spread_a, size_a, floor) in enumerate(layers):
+        z = a @ z
+        z += bias
+        e = spread_a @ e + size_a @ size
+        e += floor
+        _drop_near_overflow(e)
+        if layer != last:
+            r = np.maximum(z, 0.0)
+            top = r + e  # bounds max(z, 0) in both arithmetics
+            z = r
+            for _ in range(k - 1):
+                z = z * r
+            # k top^(k-1) e + gamma_k top^k
+            e = (k * _UP) * e + (_gamma(k) * _UP) * top
+            for _ in range(k - 1):
+                e *= top
+            e += k * _UP * _TINY
+            _drop_near_overflow(e)
+            size = z
+    return z, ((1.0 + 2.0 * _U) * _UP) * e + (2.0 * _U * _UP) * np.abs(z)
+
+
+def _drop_near_overflow(e):
+    """Make e inf, in place, where it exceeds u _BIG.
+
+    e is at least gamma_1 > u times every value, partial sum and power it
+    bounds, so where e <= u _BIG they all stay below _BIG.
+    """
+    if not np.max(e, initial=0.0) <= _U * _BIG:
+        e[~(e <= _U * _BIG)] = np.inf
+
+
 def _check_same_activation(a: Network, b: Network):
     if a.activation != b.activation:
         raise CompositionError("activation specs differ")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .exceptions import QuantizerError, SearchExhaustedError
-from .nnet import AffineStep, Network, evaluate_batch
+from .nnet import _UP, AffineStep, Network, _evaluate_bounded, evaluate_batch
 from .wedgelet import _round_half_toward_zero
 
 __all__ = [
@@ -112,14 +112,88 @@ _SUP_GRID = 10_000  # find_min_m's default, and the grid quantize reports on
 _SCREEN_STRIDE = 16
 
 
-def _sup_error(net: Network, xs, ref) -> float:
-    return float(np.max(np.abs(evaluate_batch(net, xs) - ref), initial=0.0))
+class _Grid:
+    """Points of a sup grid and one network's values there.
+
+    The float64 values and their error bounds (``_evaluate_bounded``) are
+    computed for every point at once; the double-double values
+    (``evaluate_batch``) only for the columns asked for, once each.  Each
+    column depends only on its own input, so a subset's values are those a
+    full pass gives.
+    """
+
+    def __init__(self, net: Network, xs):
+        self.net, self.xs = net, xs
+        self.value, self.bound = _evaluate_bounded(net, xs)
+        self.bounded = bool(np.all(np.isfinite(self.value))
+                            and np.all(np.isfinite(self.bound)))
+        self._dd = np.empty(self.value.shape)
+        self.known = np.zeros(xs.shape[1], dtype=bool)
+
+    def dd(self, cols):
+        """Double-double values at the columns of the boolean mask ``cols``."""
+        todo = cols & ~self.known
+        if todo.any():
+            self._dd[:, todo] = evaluate_batch(self.net, self.xs[:, todo])
+            self.known |= todo
+        return self._dd[:, cols]
+
+
+def _dd_error(q: _Grid, ref: _Grid, cols) -> float:
+    """max |q - ref| in double-double over the columns ``cols`` (NaN if any
+    difference is NaN); the reference is evaluated first."""
+    r = ref.dd(cols)
+    return float(np.max(np.abs(q.dd(cols) - r), initial=0.0))
+
+
+def _error_bounds(q: _Grid, ref: _Grid):
+    """(lo, hi) per column with lo <= |q - ref| <= hi in double-double,
+    exactly, at the column's worst output.
+
+    Where either grid is not bounded every column gets (0, inf), so the
+    whole grid is evaluated in double-double.
+    """
+    if not (q.bounded and ref.bounded):
+        n = q.xs.shape[1]
+        return np.zeros(n), np.full(n, np.inf)
+    diff = np.abs(q.value - ref.value)
+    slack = q.bound + ref.bound
+    # rounded outward: _UP dwarfs the rounding of these few operations
+    lo = (diff * (2.0 - _UP) - slack * _UP) * (2.0 - _UP)
+    hi = (diff + slack) * _UP
+    return lo.max(axis=0), hi.max(axis=0)
+
+
+def _within(q: _Grid, ref: _Grid, eta: float) -> bool:
+    """Whether every double-double error |q - ref| is at most eta (false on
+    NaN), evaluated in double-double only where the bounds leave it open:
+    false if some lower bound is above eta, true if every upper bound is
+    at most eta, and otherwise read at the points whose upper bound is not."""
+    lo, hi = _error_bounds(q, ref)
+    # an error above the float after eta rounds to more than eta
+    if np.any(lo > np.nextafter(eta, 1.0) * _UP):
+        return False
+    doubt = hi > eta
+    return not doubt.any() or _dd_error(q, ref, doubt) <= eta
+
+
+def _sup_error(q: _Grid, ref: _Grid) -> float:
+    """max |q - ref| over the grid in double-double, the float a full pass
+    gives, evaluated where the bounds leave the maximum open.
+
+    Its floor is the largest lower bound or double-double error already
+    known; a point whose upper bound is below that floor has a smaller
+    error, so only the points whose upper bound reaches it are read.
+    """
+    lo, hi = _error_bounds(q, ref)
+    floor = max(np.max(lo, initial=0.0), _dd_error(q, ref, q.known))
+    return _dd_error(q, ref, hi >= floor)
 
 
 def measured_sup_error(qnet: Network, net: Network, D: float) -> float:
     """max |qnet - net| on the grid find_min_m searches by default."""
     xs = _quantization_grid(net.input_dim, D, _SUP_GRID)
-    return _sup_error(qnet, xs, evaluate_batch(net, xs))
+    return _sup_error(_Grid(qnet, xs), _Grid(net, xs))
 
 
 def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID,
@@ -129,13 +203,24 @@ def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID
     The theory guarantees some m works for acceptable activations; the
     sharp value is network-specific, so we search instead of trusting the
     proof's constants.  The grid covers [-D, D]^d with about ``grid``
-    points per input dimension (d <= 2).
+    points per input dimension (d <= 2).  The error is that of the
+    double-double evaluator, ``evaluate_batch``.
 
     Each m is screened on every 16th grid point first and rejected there
     if the screen alone exceeds eta; only an m that passes is evaluated on
-    the remaining points.  The evaluator works point by point, so the
-    screen's errors are those of a full-grid pass and the returned m is
-    the one a full-grid search returns.
+    the remaining points.  On each part the quantized net and the original
+    are first evaluated in float64 with a rigorous bound on their distance
+    from the double-double values (``nnet._evaluate_bounded``): an m is
+    rejected if some point's error is provably above eta, passed if every
+    point's is provably at most eta, and otherwise evaluated in
+    double-double at the points still in doubt.  The evaluator works point
+    by point, so every error read is that of a full-grid pass and the
+    returned m is the one a full-grid search returns.  The accepted m's
+    error (``quantize --auto`` reports it) is still the double-double grid
+    maximum: it is read in double-double at every point whose upper bound
+    reaches a known lower bound on that maximum, and no other point can
+    exceed it.  A part on which the bound cannot be given (see
+    ``nnet._evaluate_bounded``) is evaluated in double-double whole.
     """
     return _search_min_m(net, eta, k, D, grid, m_cap)[0]
 
@@ -144,22 +229,27 @@ def _search_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_G
                   m_cap: int = 64):
     """``find_min_m``'s search: (m, its sup-grid quantization error).
 
-    The error is the larger of the screen's and the rest's, so it is the
-    full grid's, and at the default grid equals ``measured_sup_error`` of
-    the quantized net.
+    The error is the larger of the screen's and the rest's, each read by
+    the routine ``measured_sup_error`` uses, so it is the full grid's
+    double-double maximum, and at the default grid equals
+    ``measured_sup_error`` of the quantized net.
     """
     _check_eta(eta)
     xs = _quantization_grid(net.input_dim, D, grid)
     on_screen = np.arange(xs.shape[1]) % _SCREEN_STRIDE == 0
-    screen, rest = [(part, evaluate_batch(net, part))
-                    for part in (xs[:, on_screen], xs[:, ~on_screen])]
+    refs = [_Grid(net, xs[:, on_screen]), _Grid(net, xs[:, ~on_screen])]
+    for ref in refs:
+        if not ref.bounded:  # read whole later; up front, as a full pass would
+            ref.dd(np.ones(ref.xs.shape[1], dtype=bool))
     for m in range(1, m_cap + 1):
         qnet = quantize_weights(net, eta, k, m)
         # the rest is evaluated only when the screen passes; NaN errors reject
-        screen_error = _sup_error(qnet, *screen)
-        if screen_error <= eta:
-            rest_error = _sup_error(qnet, *rest)
-            if rest_error <= eta:
-                return m, max(screen_error, rest_error)
+        qs = []
+        for ref in refs:
+            qs.append(_Grid(qnet, ref.xs))
+            if not _within(qs[-1], ref, eta):
+                break
+        else:
+            return m, max(map(_sup_error, qs, refs))
     raise SearchExhaustedError(
         f"no m <= {m_cap} met the target (net likely ill-conditioned)")

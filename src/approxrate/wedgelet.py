@@ -203,7 +203,7 @@ class EdRdp:
 
     @property
     def J(self):
-        return int(math.log2(self.n))
+        return _pixel_scale(self.n)
 
     def validate(self):
         """Quadtree structural check: leaves tile the unit square.

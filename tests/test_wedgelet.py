@@ -195,6 +195,17 @@ def test_validate_refuses_leaf_sets_that_do_not_tile(leaves):
             check(EdRdp(leaves, 4, 2, 8))
 
 
+@pytest.mark.parametrize("n", [0, 48, -8])
+def test_partition_scale_refuses_n_not_a_power_of_two(n):
+    part = EdRdp((), n, 2, 8)
+    with pytest.raises(FormatError, match="n must be a power of two"):
+        part.J
+
+
+def test_partition_scale_of_a_power_of_two():
+    assert [EdRdp((), 1 << J, 2, 8).J for J in range(6)] == list(range(6))
+
+
 def test_project_refuses_a_nested_square():
     with pytest.raises(CorruptionError):
         project(np.zeros((4, 4)), EdRdp(NESTED, 4, 2, 8))
