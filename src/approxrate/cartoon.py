@@ -26,7 +26,6 @@ __all__ = [
     "MembershipReport",
     "petal_generator_seminorm",
     "make_hypercube",
-    "delta_for_dimension",
     "vertex_function",
     "holder_seminorm",
     "star_membership",
@@ -171,29 +170,6 @@ def make_hypercube(delta: float, beta: float, C: float) -> HypercubeSpec:
             f"petal height {height:.4g} exceeds 1/4; shrink delta")
     f0 = disc_star(r0, beta=beta, holder_C=C)
     return HypercubeSpec(float(delta), m, float(A), f0, float(C), float(beta))
-
-
-def delta_for_dimension(m_target: int, beta: float, C: float) -> float:
-    """Side length whose hypercube has exactly ``m_target`` petals.
-
-    Inverts the floor formula for m(delta), so consecutive dimensions are
-    reachable exactly: every integer above a small threshold is hit by
-    some delta.
-    """
-    if m_target < 1:
-        raise DomainError("dimension must be >= 1")
-    seminorm = petal_generator_seminorm(beta)
-    mass1, _ = _bump_masses()
-    scale = C * 0.25 * mass1 / seminorm
-    # delta^2 in (scale * (m+1)^-(beta+1), scale * m^-(beta+1)]; take the
-    # geometric midpoint so float rounding cannot tip the floor
-    lo = scale * (m_target + 1.0) ** (-(beta + 1.0))
-    hi = scale * m_target ** (-(beta + 1.0))
-    delta = math.sqrt(math.sqrt(lo * hi))
-    spec = make_hypercube(delta, beta, C)
-    if spec.m != m_target:
-        raise RangeError(f"inversion landed on m={spec.m}, not {m_target}")
-    return delta
 
 
 def vertex_function(spec: HypercubeSpec, xi) -> StarFunction:

@@ -1,8 +1,8 @@
 """The ``approxrate`` command line front end.
 
-Every run is reproducible: sampled grids are fixed by --seed, floats print
-with 17 significant digits, and --manifest records the full configuration
-of the invocation.  Domain failures exit with code 1 and the error name;
+Every run is reproducible: the sampled inputs of ``rates`` are fixed by
+--seed, floats print with 17 significant digits, and --manifest records
+the full configuration of the invocation.  Domain failures exit with code 1 and the error name;
 argument errors exit with code 2.
 """
 
@@ -75,7 +75,6 @@ def write_pgm(path: str, arr: np.ndarray):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled grids")
     p.add_argument("--manifest", default=None,
                    help="write a JSON record of this invocation")
 
@@ -152,6 +151,8 @@ def _parser():
                    choices=["bspline-net", "quantize", "wedge-disc",
                             "wedge-petals", "hamming"])
     p.add_argument("--out", default="-")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the wedge-petals vertices and the hamming codebooks")
     _add_common(p)
     return top
 

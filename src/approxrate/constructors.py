@@ -136,7 +136,7 @@ def build_p1(eps, D, spec: ActivationSpec) -> BuildReport:
 
 def build_plus_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-(L+1) chain matching x_+^(k^L) on [-D, D] within eps."""
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     if L < 1:
         raise BuilderError("L must be >= 1")
     D_eff = max(float(D), 1.0)
@@ -160,7 +160,7 @@ def _power_net(L, eps, D, spec, one_sided=False):
 
 def build_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Mirrored pair matching x^(k^L) on [-D, D] within eps."""
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     if L < 1:
         raise BuilderError("L must be >= 1")
     D_eff = max(float(D), 1.0)
@@ -272,7 +272,7 @@ def _relu_parts(eps, D, spec, n_override=None):
 
 def build_relu(eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-2 net matching x_+ on [-D, D] within eps."""
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     D_eff = max(float(D), 1.0)
     subnet, coeffs, shifts, consts = _relu_parts(eps, D_eff, spec)
     nets = [_chain_net(subnet, spec) for _ in coeffs]
@@ -348,7 +348,7 @@ def _knot_interpolant(values_at, knots, spec) -> Network:
 
 def build_plus_monomial(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     """Net matching x_+^(m-1) on [-D, D] within eps (sup norm)."""
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     if m < 2:
         raise BuilderError("m must be >= 2")
     D_eff = max(float(D), 1.0)
@@ -422,7 +422,7 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     sums that cancel around N^(k-1) amplify their rounding, so the L2
     claim can miss at small eps.
     """
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     if m < 2:
         raise BuilderError("m must be >= 2")
     D = float(D)
@@ -458,7 +458,7 @@ def transfer_expansion(terms, eps, D, spec: ActivationSpec) -> BuildReport:
     Each term gets the budget eps / max(1, 2 * sum |coeff|); terms are
     built at a common depth then combined affinely.
     """
-    _check_eps(eps)
+    _check_eps_and_D(eps, D)
     terms = [(float(c), int(m)) for c, m in terms]
     if not terms:
         raise BuilderError("transfer_expansion needs at least one term")
@@ -491,6 +491,8 @@ def transfer_expansion(terms, eps, D, spec: ActivationSpec) -> BuildReport:
                        (("per_term_budget", per_term),))
 
 
-def _check_eps(eps):
+def _check_eps_and_D(eps, D):
     if not (0.0 < eps < 1.0):
         raise BuilderError("eps must lie in (0, 1)")
+    if not (math.isfinite(D) and D > 0.0):
+        raise BuilderError(f"domain half-width D must be finite and > 0, got {D!r}")

@@ -67,11 +67,3 @@ class ResolutionMismatchError(ApproxRateError):
 
 class SizeError(ApproxRateError):
     """Instance too large for the exact algorithm."""
-
-
-class UnreachableError(ApproxRateError):
-    """A sweep could not reach the requested error level."""
-
-    def __init__(self, message, best_achieved=None):
-        super().__init__(message)
-        self.best_achieved = best_achieved

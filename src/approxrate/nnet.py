@@ -25,7 +25,6 @@ __all__ = [
     "AffineStep",
     "ActivationSpec",
     "Network",
-    "SigmoidalReport",
     "relu_power",
     "logistic_power",
     "evaluate",
@@ -34,8 +33,6 @@ __all__ = [
     "serial_compose",
     "parallel_compose",
     "identity_extend",
-    "verify_sigmoidal",
-    "standard_probe",
     "network_to_json",
     "network_from_json",
 ]
@@ -163,8 +160,10 @@ class ActivationSpec:
     """Activation with its sigmoidal order and growth/decay constants.
 
     ``constants = (C, a, b)`` quantify the decay of rho(x)/x^k toward 0
-    and 1 and bound |rho| and |rho'|; they are verified numerically, not
-    proved.
+    and 1 and bound |rho| and |rho'|.  They are not proved; what checks
+    them is the measured error of networks built with them, in the
+    logistic builds of ``tests/test_constructors.py`` and the logistic
+    certificate of ``tests/test_cli.py``.
     """
 
     kind: str
@@ -189,15 +188,6 @@ class ActivationSpec:
             return np.maximum(x, 0.0) ** self.k
         return x ** self.k * _sigmoid(x)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "relu_power":
-            if self.k == 1:
-                return (x > 0).astype(float)
-            return self.k * np.maximum(x, 0.0) ** (self.k - 1)
-        s = _sigmoid(x)
-        return self.k * x ** (self.k - 1) * s + x ** self.k * s * (1.0 - s)
-
 
 def _sigmoid(x):
     out = np.empty_like(x, dtype=float)
@@ -209,7 +199,7 @@ def _sigmoid(x):
 
 
 def relu_power(k):
-    """x -> max(0, x)^k with its canonical verified constants."""
+    """x -> max(0, x)^k with its canonical constants."""
     return ActivationSpec("relu_power", int(k), C=float(max(1, k)), a=1.0,
                           b=float(max(1, k - 1)))
 
@@ -608,54 +598,6 @@ def identity_extend(net: Network) -> Network:
     down = AffineStep(2 * last.out_dim, last.out_dim,
                       ((0, 0, 1.0), (0, 1, -1.0)))
     return Network(net.steps[:-1] + (up, down), act)
-
-
-@dataclass(frozen=True)
-class SigmoidalReport:
-    """Max violations of the four strong-sigmoidality inequalities."""
-
-    left_decay: float
-    right_decay: float
-    growth: float
-    derivative: float
-    tolerance: float
-
-    @property
-    def passed(self):
-        return max(self.left_decay, self.right_decay,
-                   self.growth, self.derivative) <= self.tolerance
-
-
-def standard_probe(count=400, span=1e3):
-    """Symmetric log-spaced probe over 1 <= |x| <= span (large-|x| regime)."""
-    pos = np.logspace(0.0, math.log10(span), count)
-    return np.concatenate([-pos[::-1], pos])
-
-
-def verify_sigmoidal(spec: ActivationSpec, probe=None, tolerance=1e-9) -> SigmoidalReport:
-    """Report how badly the declared (C, a, b) fail on a probe grid.
-
-    All four inequalities are checked pointwise; a violation is the excess
-    LHS - RHS clipped at zero, so exact activations report 0.0.
-    """
-    if probe is None:
-        probe = standard_probe()
-    x = np.asarray(probe, dtype=float)
-    x = x[x != 0.0]
-    neg, pos = x[x < 0], x[x > 0]
-    rho_neg, rho_pos = spec(neg), spec(pos)
-    C, a, b, k = spec.C, spec.a, spec.b, spec.k
-
-    v_left = np.abs(rho_neg / neg ** k) - C * np.abs(neg) ** (-a)
-    v_right = np.abs(rho_pos / pos ** k - 1.0) - C * pos ** (-a)
-    v_growth = np.abs(spec(x)) - C * (1.0 + np.abs(x)) ** k
-    v_deriv = np.abs(spec.derivative(x)) - C * np.abs(x) ** b
-
-    def worst(v):
-        return float(max(0.0, v.max())) if v.size else 0.0
-
-    return SigmoidalReport(worst(v_left), worst(v_right), worst(v_growth),
-                           worst(v_deriv), float(tolerance))
 
 
 NETWORK_FORMAT_VERSION = 1

@@ -30,18 +30,14 @@ def _check_eta(eta):
         raise QuantizerError("eta must lie in (0, 1/2]")
 
 
-def quantize_value(w: float, eta: float, k: int, m: int) -> float:
-    """Nearest point of eta^m Z within the clamp range, ties toward zero.
+def _quantize_values(ws, eta: float, k: int, m: int) -> list:
+    """Each weight in ``ws`` rounded to the nearest point of eta^m Z within
+    the clamp range, ties toward zero, all at once.
 
     The cap keeps |q| <= eta^-(m+k) and representable in the declared bit
     budget; when the budget is exactly tight (eta an inverse power of two)
     the single extreme grid point is shaved off.
     """
-    return _quantize_values([w], eta, k, m)[0]
-
-
-def _quantize_values(ws, eta: float, k: int, m: int) -> list:
-    """``quantize_value`` of each weight in ``ws``, rounded all at once."""
     step = eta ** m
     qs = _round_half_toward_zero(np.array(ws, dtype=float) / step).tolist()
     q_cap = min(int(math.floor(eta ** (-(m + k)) * (1.0 + 1e-12))),

@@ -17,7 +17,6 @@ from .exceptions import (
     InputShapeError,
     ResolutionMismatchError,
     SizeError,
-    UnreachableError,
 )
 from .nnet import Network, evaluate_batch
 
@@ -29,7 +28,6 @@ __all__ = [
     "fit_rate",
     "covering_distortion_exact",
     "covering_distortion_greedy",
-    "empirical_minimax_length",
 ]
 
 
@@ -58,7 +56,10 @@ def _simpson_weights(panels: int):
 
 def l2_error_quad(candidate, target, lo, hi, panels: int = 2048) -> float:
     """L2 distance on [lo, hi] by composite Simpson quadrature; the squared
-    differences of a network's outputs are summed."""
+    differences of a network's outputs are summed.  Bounds that are not
+    finite, or lo > hi, are a ``DomainError``."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"need finite bounds with lo <= hi, got [{lo!r}, {hi!r}]")
     panels = int(panels)
     xs = np.linspace(float(lo), float(hi), 2 * panels + 1)
     diff = _as_callable(candidate)(xs) - _as_callable(target)(xs)
@@ -175,33 +176,4 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
             current = np.minimum(
                 current, np.bitwise_count(np.bitwise_xor(words, np.uint32(pick))))
         best = min(best, float(current.mean()))
-    return best
-
-
-def empirical_minimax_length(encode_at, test_functions, eps: float,
-                             knobs) -> int:
-    """Smallest bit length over the knob sweep meeting max error <= eps.
-
-    ``encode_at(knob, f)`` must return (bits, error); the bit length for a
-    knob is the max over the test set, as one length must serve the whole
-    class.
-    """
-    if not test_functions:
-        raise DomainError("need a nonempty test set")
-    best = None
-    achieved = math.inf
-    for knob in knobs:
-        bits = 0
-        worst = 0.0
-        for f in test_functions:
-            b, e = encode_at(knob, f)
-            bits = max(bits, int(b))
-            worst = max(worst, float(e))
-        achieved = min(achieved, worst)
-        if worst <= eps and (best is None or bits < best):
-            best = bits
-    if best is None:
-        raise UnreachableError(
-            f"no knob reached eps={eps:g}; best achieved {achieved:g}",
-            best_achieved=achieved)
     return best

@@ -49,8 +49,6 @@ __all__ = [
     "CODEC_SUPERSAMPLE",
     "WEDGE_FORMAT_VERSION",
     "vertex_budget",
-    "edgelet_count",
-    "enumerate_vertices",
     "wedge_mask",
     "project",
     "fit_rdp",
@@ -121,16 +119,6 @@ def _perimeter_point(square: DyadicSquare, t: float):
     if e == 2:
         return (x1 - r, y0)
     return (x0, y0 + r)
-
-
-def enumerate_vertices(square: DyadicSquare, J: int, K: int,
-                       m_cap: int = DEFAULT_M_CAP):
-    """Equally spaced boundary vertices, clockwise from the upper-left corner."""
-    if square.j > J:
-        raise InputShapeError("square finer than the pixel scale")
-    m_j = vertex_budget(square.j, J, K, m_cap)
-    spacing = 4.0 * square.side / m_j
-    return [_perimeter_point(square, i * spacing) for i in range(m_j)]
 
 
 def _vertex_edge_ids(index: int, m_j: int):
@@ -219,17 +207,6 @@ class EdRdp:
         if (1 << 2 * (table.J - table.j[once])).sum() != 1 << 2 * table.J:
             raise FormatError("leaves do not cover the unit square")
         return True
-
-
-def edgelet_count(J: int, K: int, m_cap: int | None = None) -> int:
-    """Exact dictionary size: sum over scales of 4^j * C(M_j, 2)."""
-    if J < 0 or K < 0:
-        raise InputShapeError("J and K must be >= 0")
-    total = 0
-    for j in range(J + 1):
-        m_j = vertex_budget(j, J, K, m_cap if m_cap is not None else 1 << 62)
-        total += 4 ** j * comb(m_j, 2)
-    return total
 
 
 def _sample_offsets(s: int):
@@ -1002,6 +979,34 @@ def _layout(J: int, K: int, m_cap: int):
     return J.bit_length(), (2 * offset).bit_length(), offset, tuple(splits)
 
 
+def _field_widths(J: int, K: int, m_cap: int, j, split):
+    """The field widths of records of scales ``j`` and split flags ``split``
+    in a stream with this header: one row per field (scale, ix, iy, split
+    flag, edgelet index, side, coefficient), one column per record.  The
+    index and side of an unsplit leaf are 0 bits wide; a record's width is
+    its column's sum."""
+    sbits, cbits, _, splits = _layout(J, K, m_cap)
+    widths = np.empty((7, len(j)), np.int64)
+    widths[0], widths[1], widths[2], widths[3] = sbits, j, j, 1
+    widths[4] = np.array([width for _, width, _ in splits])[j] * split
+    widths[5], widths[6] = split, cbits
+    return widths
+
+
+@lru_cache(maxsize=64)
+def _record_widths(J: int, K: int, m_cap: int) -> tuple:
+    """(unsplit, split) record widths at the scales j = 0..J, as lists."""
+    j = np.arange(J + 1)
+    return tuple(_field_widths(J, K, m_cap, j, np.full_like(j, split)).sum(axis=0).tolist()
+                 for split in (0, 1))
+
+
+def _theta_bound(eta: float) -> float:
+    """The largest |theta| the coefficient alphabet holds, 1 + eta, with
+    slack for rounding in the solve."""
+    return 1.0 + eta + 1e-12
+
+
 class WedgeCode:
     """Decoded header plus per-leaf records (leaf, integer coefficient q).
 
@@ -1081,23 +1086,19 @@ class WedgeCode:
         return _stream_bits(int(self._fields()[1].sum()))
 
     def _fields(self):
-        """The payload as flat value and width arrays, in stream order.
-
-        A record is scale, ix, iy, split flag, edgelet index, side and
-        coefficient; the index and side of an unsplit leaf are 0 bits wide.
-        A value wider than its field is a ``FormatError``.
+        """The payload as flat value and width arrays, in stream order, the
+        fields of each record as ``_field_widths`` lists them.  A value
+        wider than its field is a ``FormatError``.
         """
-        sbits, cbits, offset, splits = _layout(self.J, self.K, self.m_cap)
+        offset = _layout(self.J, self.K, self.m_cap)[2]
         table, qs = self._table
-        split, one = table.local >= 0, np.ones_like(table.j)
-        ebits = np.array([width for _, width, _ in splits])[table.j] * split
+        split = table.local >= 0
         values = np.stack([table.j, table.ix, table.iy, split, table.local * split,
-                           table.side, qs + offset], axis=1)
-        widths = np.stack([sbits * one, table.j, table.j, one, ebits, split, cbits * one],
-                          axis=1)
+                           table.side, qs + offset])
+        widths = _field_widths(self.J, self.K, self.m_cap, table.j, split)
         if np.any((values < 0) | (values >= 1 << widths)):
             raise FormatError("a value does not fit in its field")
-        return values.ravel(), widths.ravel()
+        return values.T.ravel(), widths.T.ravel()
 
     def to_bytes(self) -> bytes:
         header = _MAGIC + struct.pack("<BBBHI", WEDGE_FORMAT_VERSION, self.J,
@@ -1126,10 +1127,11 @@ class WedgeCode:
         version, J, K, m_cap, count = struct.unpack("<BBBHI", data[4:_HEADER_BYTES])
         if version != WEDGE_FORMAT_VERSION:
             raise CorruptionError(f"unsupported version {version}")
-        sbits, cbits, offset, splits = _layout(J, K, m_cap)
+        sbits, _, offset, splits = _layout(J, K, m_cap)
+        widths = _record_widths(J, K, m_cap)  # by split flag, then scale
         total = 8 * (len(data) - _HEADER_BYTES)
         # no record is shorter than an unsplit one of scale 0
-        if count * (sbits + 1 + cbits) > total:
+        if count * widths[0][0] > total:
             raise CorruptionError("payload truncated")
         # eight zero bytes past the payload: the scale and flag reads below
         # end at most 29 bits past it
@@ -1139,28 +1141,23 @@ class WedgeCode:
             lead = 2 * lead + bits[k:k + total + 1]
         # each record's start follows from the last one's scale and split flag
         scale, flag = memoryview(lead), memoryview(bits)
-        unsplit = [sbits + 2 * j + 1 + cbits for j in range(J + 1)]  # record widths
-        extra = [width + 1 for _, width, _ in splits]  # a split's index and side
         starts, pos = [], 0
         for _ in range(count):
             j = scale[pos]
             if j > J:
                 raise CorruptionError("leaf scale beyond header scale")
             starts.append(pos)
-            pos += unsplit[j] + flag[pos + sbits + 2 * j] * extra[j]
+            pos += widths[flag[pos + sbits + 2 * j]][j]
             if pos > total:
                 raise CorruptionError("payload truncated")
         if total - pos >= 8 or bits[pos:total].any():
             raise CorruptionError("bytes or set padding bits after the last record")
         start = np.array(starts, dtype=np.int64)
         j = lead[start].astype(np.int64)
-        at = start + sbits + 2 * j + 1  # just after the split flag
-        split = bits[at - 1].astype(np.int64)
-        ebits = np.array([width for _, width, _ in splits])[j] * split
-        ix, iy, local, side, q = _read(
-            data[_HEADER_BYTES:],
-            np.stack([start + sbits, start + sbits + j, at, at + ebits, at + ebits + split]),
-            np.stack([j, j, ebits, split, np.full_like(j, cbits)]))
+        split = bits[start + sbits + 2 * j].astype(np.int64)
+        fields = _field_widths(J, K, m_cap, j, split)
+        begins = np.cumsum(fields, axis=0) - fields + start
+        ix, iy, _, local, side, q = _read(data[_HEADER_BYTES:], begins[1:], fields[1:])
         if np.any(local >= np.array([pairs for _, _, pairs in splits])[j]):
             raise CorruptionError("edgelet index out of range")
         q -= offset
@@ -1213,7 +1210,7 @@ def _quantize(f, table: _Leaves, K: int, m_cap: int) -> WedgeCode:
     gave, ``project``'s with no reconstruction drawn; keep rows with q != 0."""
     thetas = _solve(f, table, table.pairs())[1]
     eta = 1.0 / (1 << 2 * table.J)
-    over = np.flatnonzero(np.abs(thetas) > 1.0 + eta + 1e-12)
+    over = np.flatnonzero(np.abs(thetas) > _theta_bound(eta))
     if over.size:
         raise RangeError(f"coefficient {thetas[over[0]]:.6g} outside [-1-eta, 1+eta]")
     q = _round_half_toward_zero(thetas / eta).astype(np.int64)
@@ -1357,7 +1354,7 @@ def _closed_form(f, scores: _Scores, table: _Leaves):
     at = _first(j) + (table.iy << j) + table.ix
     thetas = np.where(split, np.where(side0, scores.theta0[at], scores.theta1[at]),
                       scores.theta[at])
-    if np.any(np.abs(thetas) > (1.0 + eta + 1e-12) * (1.0 - 1e-9)):
+    if np.any(np.abs(thetas) > _theta_bound(eta) * (1.0 - 1e-9)):
         return None
     x = np.abs(thetas) / eta
     if np.any(np.abs(x - np.floor(x) - 0.5) <= 1e-9 * np.maximum(x, 1.0)):
@@ -1368,7 +1365,5 @@ def _closed_form(f, scores: _Scores, table: _Leaves):
     sse = np.where(split, scores.sse_split[at], scores.sse_whole[at])[side0]
     cross = scores.cross[at[first]]
     mse = sse.sum() + np.sum(d * d) + 2.0 * np.sum(d[first] * d[first + 1] * cross)
-    sbits, cbits, _, splits = _layout(J, K, m_cap)
-    ebits = np.array([width for _, width, _ in splits])
-    width = sbits + 2 * j + 1 + split * (ebits[j] + 1) + cbits
+    width = _field_widths(J, K, m_cap, j, split).sum(axis=0)
     return _stream_bits(int(width[q != 0].sum())), max(float(mse), 0.0)

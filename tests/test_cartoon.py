@@ -39,13 +39,6 @@ def test_make_hypercube_slope():
     assert slope >= 2.0 / 3.0 - 0.05
 
 
-def test_delta_for_dimension_hits_consecutive_integers():
-    from approxrate.cartoon import delta_for_dimension
-    for m in range(8, 24):
-        delta = delta_for_dimension(m, 2.0, 1.0)
-        assert make_hypercube(delta, 2.0, 1.0).m == m
-
-
 def test_make_hypercube_rejects_large_delta():
     with pytest.raises(RangeError):
         make_hypercube(0.9, 2.0, 1.0)

@@ -46,6 +46,33 @@ def test_unknown_flag_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("D", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("target, k", [
+    ("plus-power", 2), ("power", 2), ("relu", 2), ("monomial", 2),
+    ("bspline", 1), ("bspline", 2),
+])
+def test_build_with_a_bad_domain_half_width_exits_1(tmp_path, capsys, target, k, D):
+    net_path = tmp_path / "net.json"
+    rc = run(["build", "--target", target, "--k", str(k), "--m", "3", "--eps", "0.05",
+              "--D", D, "--out", str(net_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("BuilderError:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bspline", "--m", "3"],
+    ["build", "--target", "relu", "--eps", "0.1"],
+    ["quantize", "--net", "net.json", "--eta", "0.1", "--auto"],
+    ["star", "--kind", "disc", "--n", "8", "--out", "raw", "--path", "x.raw"],
+    ["wedge", "encode", "--in", "x.raw", "--out", "x.wdgl"],
+], ids=lambda argv: argv[0])
+def test_seed_is_refused_where_nothing_reads_it(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--seed", "1"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_writes_net_and_certificate(tmp_path):
     net_path = tmp_path / "net.json"
     cert_path = tmp_path / "cert.json"
@@ -224,7 +251,7 @@ def test_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.raw", tmp_path / "b.raw"
     for path in (a, b):
         run(["star", "--kind", "petals", "--delta", "0.0625", "--n", "32",
-             "--out", "raw", "--path", str(path), "--seed", "5"])
+             "--out", "raw", "--path", str(path)])
     assert a.read_bytes() == b.read_bytes()
 
 

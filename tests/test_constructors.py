@@ -286,6 +286,13 @@ def test_transfer_rejects_empty():
         transfer_expansion([(0.0, 2)], 0.1, 1.0, RELU[1])
 
 
+@pytest.mark.parametrize("D", [0.0, -1.0, float("inf"), float("nan")])
+def test_transfer_rejects_a_bad_domain_half_width(D):
+    # the CLI's build tests cover the other builders
+    with pytest.raises(BuilderError, match="half-width"):
+        transfer_expansion([(1.0, 2)], 0.1, D, RELU[1])
+
+
 def test_build_report_validates_claims():
     rep = build_p1(0.1, 1.0, RELU[1])
     with pytest.raises(BuilderError):

@@ -25,8 +25,6 @@ from approxrate.nnet import (
     parallel_compose,
     relu_power,
     serial_compose,
-    standard_probe,
-    verify_sigmoidal,
 )
 
 
@@ -195,39 +193,6 @@ def test_serial_compose_equals_nested_evaluation(ws1, ws2):
     want = evaluate_batch(second, evaluate_batch(first, xs))
     got = evaluate_batch(fused, xs)
     assert np.max(np.abs(got - want)) <= 1e-10
-
-
-def test_verify_sigmoidal_relu_exact():
-    rep = verify_sigmoidal(relu_power(1))
-    assert rep.passed
-    assert max(rep.left_decay, rep.right_decay, rep.growth, rep.derivative) == 0.0
-
-
-def test_verify_sigmoidal_relu3():
-    rep = verify_sigmoidal(relu_power(3))
-    assert rep.passed
-    assert rep.derivative == 0.0  # 3|x|^2 <= C|x|^b with C=3, b=2 exactly
-
-
-def test_verify_sigmoidal_logistic():
-    spec = logistic_power(1)
-    rep = verify_sigmoidal(spec)
-    assert rep.passed
-    # the true decay beats the declared 1/|x| bound, tightest in the tails
-    def margin(x):
-        return float(abs(spec(np.array([x]))[0] / x - 1.0) - spec.C * x ** -spec.a)
-    assert margin(2.0) < margin(100.0) < 0.0
-
-
-def test_verify_sigmoidal_detects_bad_constants():
-    bad = ActivationSpec("logistic_power", 1, C=1e-6, a=3.0, b=1.0)
-    assert not verify_sigmoidal(bad).passed
-
-
-def test_standard_probe_covers_large_x():
-    probe = standard_probe()
-    assert np.min(np.abs(probe)) >= 1.0
-    assert np.max(probe) >= 1e3
 
 
 def test_json_roundtrip(relu):

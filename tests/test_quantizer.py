@@ -16,9 +16,9 @@ from approxrate.nnet import (
 from approxrate.quantizer import (
     _SCREEN_STRIDE,
     _quantization_grid,
+    _quantize_values,
     bits_per_weight,
     find_min_m,
-    quantize_value,
     quantize_weights,
     weight_range_exponent,
 )
@@ -29,13 +29,13 @@ def chain(weights, spec=relu_power(1)):
 
 
 def test_round_to_grid():
-    assert quantize_value(0.1234, 0.1, 1, 2) == pytest.approx(0.12, abs=1e-15)
+    assert _quantize_values([0.1234], 0.1, 1, 2)[0] == pytest.approx(0.12, abs=1e-15)
 
 
 def test_tie_toward_zero():
-    assert quantize_value(0.015, 0.1, 1, 2) == pytest.approx(0.01, abs=1e-15)
-    assert quantize_value(-0.015, 0.1, 1, 2) == pytest.approx(-0.01, abs=1e-15)
-    assert quantize_value(0.025, 0.1, 1, 2) == pytest.approx(0.02, abs=1e-15)
+    assert _quantize_values([0.015], 0.1, 1, 2)[0] == pytest.approx(0.01, abs=1e-15)
+    assert _quantize_values([-0.015], 0.1, 1, 2)[0] == pytest.approx(-0.01, abs=1e-15)
+    assert _quantize_values([0.025], 0.1, 1, 2)[0] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_exact_net_unchanged():
@@ -62,7 +62,7 @@ def test_change_bounded_by_half_step():
     rng = np.random.default_rng(7)
     eta, k, m = 0.1, 2, 3
     for w in rng.uniform(-0.9 * eta ** -k, 0.9 * eta ** -k, 200):
-        qv = quantize_value(float(w), eta, k, m)
+        qv = _quantize_values([float(w)], eta, k, m)[0]
         assert abs(qv - w) <= eta ** m / 2 + 1e-12
 
 
@@ -72,8 +72,8 @@ def test_change_bounded_by_half_step():
 def test_quantization_idempotent(w, eta, k, m):
     if abs(w) > eta ** -k:
         return
-    once = quantize_value(w, eta, k, m)
-    assert quantize_value(once, eta, k, m) == once
+    once = _quantize_values([w], eta, k, m)[0]
+    assert _quantize_values([once], eta, k, m)[0] == once
 
 
 def test_bits_per_weight_values():

@@ -8,13 +8,11 @@ from approxrate.exceptions import (
     DomainError,
     ResolutionMismatchError,
     SizeError,
-    UnreachableError,
 )
 from approxrate.nnet import AffineStep, Network, relu_power
 from approxrate.ratelab import (
     covering_distortion_exact,
     covering_distortion_greedy,
-    empirical_minimax_length,
     fit_rate,
     l2_error_pixels,
     l2_error_quad,
@@ -39,6 +37,13 @@ def test_l2_error_quad_bspline_net():
     rep = build_bspline_net(2, 0.01, 3.0, relu_power(1))
     err = l2_error_quad(rep.network, lambda x: bspline_closed(2, x), -3.0, 3.0)
     assert err <= 1e-10
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (-np.inf, 1.0), (0.0, np.nan)])
+def test_l2_error_quad_refuses_a_reversed_or_unbounded_interval(lo, hi):
+    # a reversed interval once read as error 0.0: its negative integral was clipped
+    with pytest.raises(DomainError):
+        l2_error_quad(lambda x: 1.0, lambda x: 0.0, lo, hi)
 
 
 def test_sup_error_on_grid_symmetric():
@@ -138,44 +143,21 @@ def test_greedy_linear_band():
     assert max(ratios) / min(ratios) <= 2.0
 
 
-def test_empirical_minimax_length():
-    # toy codec: knob n costs 10 n bits and achieves error 1/n
-    def encode_at(n, f):
-        return 10 * n, 1.0 / n
-    bits = empirical_minimax_length(encode_at, ["f"], 0.25, [1, 2, 4, 8, 16])
-    assert bits == 40
-    with pytest.raises(UnreachableError) as info:
-        empirical_minimax_length(encode_at, ["f"], 0.001, [1, 2, 4])
-    assert info.value.best_achieved == pytest.approx(0.25)
-
-
-def test_empirical_minimax_monotone():
-    def encode_at(n, f):
-        return 10 * n, 1.0 / n
-    knobs = [1, 2, 4, 8, 16]
-    l_coarse = empirical_minimax_length(encode_at, ["f"], 0.5, knobs)
-    l_fine = empirical_minimax_length(encode_at, ["f"], 0.1, knobs)
-    assert l_fine >= l_coarse
-
-
 def test_empirical_minimax_disc_halving_ratio():
     # halving eps roughly doubles the code length when the rate is ~1
     from approxrate.cartoon import disc_star, rasterize
     from approxrate.wedgelet import DEFAULT_M_CAP, decode, encode
 
-    arrays = {}
-
-    def encode_at(n, star):
+    sweep = []  # (bits, error) of the disc at each resolution
+    for n in (32, 64, 128):
         J = int(np.log2(n))
-        if n not in arrays:
-            arrays[n] = rasterize(star, n, 4)
-        arr = arrays[n]
+        arr = rasterize(disc_star(), n, 4)
         code = encode(arr, J, J, DEFAULT_M_CAP, lam=float(n) ** -3.0)
-        err = l2_error_pixels(decode(code), arr)
-        return code.bit_length, err
+        sweep.append((code.bit_length, l2_error_pixels(decode(code), arr)))
 
-    knobs = [32, 64, 128]
-    disc = disc_star()
-    l1 = empirical_minimax_length(encode_at, [disc], 0.014, knobs)
-    l2 = empirical_minimax_length(encode_at, [disc], 0.007, knobs)
+    def fewest_bits(eps):
+        return min(bits for bits, err in sweep if err <= eps)
+
+    l1 = fewest_bits(0.014)
+    l2 = fewest_bits(0.007)
     assert 1.3 <= l2 / l1 <= 4.0

@@ -17,14 +17,14 @@ from approxrate.wedgelet import (
     Edgelet,
     WedgeCode,
     decode,
-    edgelet_count,
     encode,
     encode_to_target,
-    enumerate_vertices,
     fit_cost,
     fit_rdp,
     project,
     vertex_budget,
+    _layout,
+    _perimeter_point,
     _valid_edgelets,
     wedge_mask,
 )
@@ -33,14 +33,27 @@ from brute import brute_best_cost
 UNIT = DyadicSquare(0, 0, 0)
 
 
+def dictionary_size(J, K, m_cap=0xFFFC):
+    """The dictionary size, sum over scales of 4^j * C(M_j, 2), from the
+    stream layout's per-scale pair counts; the default cap binds at no
+    scale the tests use."""
+    return sum(4 ** j * pairs for j, (_, _, pairs) in enumerate(_layout(J, K, m_cap)[3]))
+
+
+def unit_vertices(m_j):
+    """The m_j boundary vertices of the unit square, clockwise from its
+    upper-left corner, at the positions ``_side0_fractions`` draws with."""
+    return [_perimeter_point(UNIT, i * 4.0 / m_j) for i in range(m_j)]
+
+
 def test_edgelet_count_examples():
-    assert edgelet_count(1, 1) == 232
-    assert edgelet_count(0, 0) == 6
-    assert edgelet_count(1, 1, 8) == 140
+    assert dictionary_size(1, 1) == 232
+    assert dictionary_size(0, 0) == 6
+    assert dictionary_size(1, 1, 8) == 140
     # uncapped value obeys the 8 (J+1) / delta^2 bound
     for J, K in ((1, 1), (2, 2), (3, 1)):
         delta = 2.0 ** -(J + K)
-        assert edgelet_count(J, K) <= 8 * (J + 1) * delta ** -2
+        assert dictionary_size(J, K) <= 8 * (J + 1) * delta ** -2
 
 
 def test_vertex_budget():
@@ -52,12 +65,12 @@ def test_vertex_budget():
 
 
 def test_enumerate_vertices_clockwise_from_upper_left():
-    assert enumerate_vertices(UNIT, 0, 0, 4) == [
+    assert unit_vertices(vertex_budget(0, 0, 0, 4)) == [
         (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 0.0)]
 
 
 def test_enumerate_vertices_spacing():
-    verts = enumerate_vertices(UNIT, 2, 1, 1 << 40)
+    verts = unit_vertices(vertex_budget(0, 2, 1, 1 << 40))
     m = vertex_budget(0, 2, 1, 1 << 40)
     assert len(verts) == m == 4 * 2 ** 3
     d = np.hypot(verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
@@ -218,10 +231,10 @@ def test_fit_half_plane_exact():
     m_j = vertex_budget(0, 3, 3, 8)
     diag = next(Edgelet(UNIT, v1, v2, m_j)
                 for v1 in range(m_j) for v2 in range(v1 + 1, m_j)
-                if enumerate_vertices(UNIT, 3, 3, 8)[v1] == (0.0, 0.0)
-                and enumerate_vertices(UNIT, 3, 3, 8)[v2] == (1.0, 1.0)
-                or enumerate_vertices(UNIT, 3, 3, 8)[v1] == (1.0, 1.0)
-                and enumerate_vertices(UNIT, 3, 3, 8)[v2] == (0.0, 0.0))
+                if unit_vertices(m_j)[v1] == (0.0, 0.0)
+                and unit_vertices(m_j)[v2] == (1.0, 1.0)
+                or unit_vertices(m_j)[v1] == (1.0, 1.0)
+                and unit_vertices(m_j)[v2] == (0.0, 0.0))
     f = wedge_mask(EdRdpLeaf(UNIT, (diag, 0)), n)
     part = fit_rdp(f, 3, 3, 8, lam=1e-4)
     assert len(part.leaves) == 2
