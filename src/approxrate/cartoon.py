@@ -132,14 +132,16 @@ class HypercubeSpec:
     beta: float
 
 
-def petal_generator_seminorm(beta: float, grid: int = 4096) -> float:
-    """Measured Hoelder-beta seminorm of the bump sin(theta/2) on [0, 2pi]."""
+def petal_generator_seminorm(beta: float) -> float:
+    """Measured Hoelder-beta seminorm of the bump sin(theta/2) on [0, 2pi],
+    on a 4096-point grid."""
     gen = RadiusFunction(1.0, ((1, 1, 1.0, beta),))
-    return holder_seminorm(gen, beta, grid)
+    return holder_seminorm(gen, beta, 4096)
 
 
-def _bump_masses(panels: int = 4096):
+def _bump_masses():
     """Simpson values of the bump's L1 mass and squared-L2 mass on [0, 2pi]."""
+    panels = 4096
     u = np.linspace(0.0, TWO_PI, 2 * panels + 1)
     w = _simpson_weights(panels)
     h = TWO_PI / panels
@@ -256,9 +258,10 @@ class MembershipReport:
         return self.radius_ok and self.contained and self.seminorm_ok
 
 
-def star_membership(f: StarFunction, grid: int = 4096) -> MembershipReport:
-    """Re-check the class constraints numerically instead of trusting them."""
-    thetas = _dense_thetas(f.radius, grid)
+def star_membership(f: StarFunction) -> MembershipReport:
+    """Re-check the class constraints numerically instead of trusting them,
+    on 4096 angles plus 64 across each petal."""
+    thetas = _dense_thetas(f.radius, 4096)
     rho = f.radius(thetas)
     x = f.center[0] + rho * np.cos(thetas)
     y = f.center[1] + rho * np.sin(thetas)

@@ -213,21 +213,20 @@ def _run_bspline(args):
     return 0
 
 
-def _run_quantize(args):
-    with open(args.net, "rb") as fh:  # the parser refuses bytes that are not UTF-8
-        net = nnet.network_from_json(fh.read())
-    k = args.k if args.k is not None else \
-        quantizer.weight_range_exponent(net, args.eta)
-    if args.m is not None:
-        m = args.m
-        qnet = quantizer.quantize_weights(net, args.eta, k, m)
-        err = quantizer.measured_sup_error(qnet, net, args.D)
+def _quantized(net, eta, k, m, D):
+    """(quantized net, report) at exponent m, or at find_min_m's m when m is
+    None; k None is the smallest admissible exponent."""
+    if k is None:
+        k = quantizer.weight_range_exponent(net, eta)
+    if m is None:
+        m, err = quantizer._search_min_m(net, eta, k, D)
+        qnet = quantizer.quantize_weights(net, eta, k, m)
     else:
-        m, err = quantizer._search_min_m(net, args.eta, k, args.D)
-        qnet = quantizer.quantize_weights(net, args.eta, k, m)
-    bits = quantizer.bits_per_weight(args.eta, k, m)
-    report = {
-        "eta": args.eta,
+        qnet = quantizer.quantize_weights(net, eta, k, m)
+        err = quantizer.measured_sup_error(qnet, net, D)
+    bits = quantizer.bits_per_weight(eta, k, m)
+    return qnet, {
+        "eta": eta,
         "k": k,
         "m": m,
         "bits_per_weight": bits,
@@ -235,6 +234,12 @@ def _run_quantize(args):
         "connectivity": nnet.connectivity(qnet),
         "measured_sup_error": err,
     }
+
+
+def _run_quantize(args):
+    with open(args.net, "rb") as fh:  # the parser refuses bytes that are not UTF-8
+        net = nnet.network_from_json(fh.read())
+    qnet, report = _quantized(net, args.eta, args.k, args.m, args.D)
     _write_text(args.out, nnet.network_to_json(qnet))
     _write_text(args.report or (args.out + ".report.json"),
                 json.dumps(report, indent=1, default=float))
@@ -292,20 +297,17 @@ def _run_rates(args):
         for eps in [2.0 ** -i for i in range(1, 7)]:
             t0 = time.perf_counter()
             rep = constructors.build_bspline_net(3, eps, 4.0, spec)
-            err = ratelab.l2_error_quad(rep.network,
-                                        lambda x: bspline_closed(3, x), -4, 4)
-            rows.append((eps, nnet.connectivity(rep.network), err,
+            cert = _certificate(rep, "l2", lambda x: bspline_closed(3, x))
+            rows.append((eps, cert["connectivity"], cert["measured_error"],
                          1000 * (time.perf_counter() - t0)))
     elif args.experiment == "quantize":
         spec = nnet.relu_power(2)
         rep = constructors.build_bspline_net(3, 0.05, 4.0, spec)
         for eta in (0.25, 0.1, 0.05, 0.01):
             t0 = time.perf_counter()
-            k = quantizer.weight_range_exponent(rep.network, eta)
-            m, err = quantizer._search_min_m(rep.network, eta, k, 4.0)
-            qnet = quantizer.quantize_weights(rep.network, eta, k, m)
-            bits = quantizer.bits_per_weight(eta, k, m) * nnet.connectivity(qnet)
-            rows.append((eta, bits, err, 1000 * (time.perf_counter() - t0)))
+            _, report = _quantized(rep.network, eta, None, None, 4.0)
+            rows.append((eta, report["total_bits"], report["measured_sup_error"],
+                         1000 * (time.perf_counter() - t0)))
     elif args.experiment in ("wedge-disc", "wedge-petals"):
         if args.experiment == "wedge-disc":
             stars = [cartoon.disc_star()]

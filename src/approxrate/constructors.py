@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from . import ratelab
 from .exceptions import BuilderError, ConditioningError, PrecisionError
 from .nnet import (
     ActivationSpec,
@@ -384,7 +385,8 @@ def _bspline_fallback(m, eps, D_req, spec):
     while True:
         knots = list(np.linspace(0.0, float(m), count))
         net = _knot_interpolant(lambda t: bspline_closed(m, t), knots, spec)
-        err = _l2_error_vs_bspline(net, m, max(D_req, float(m)))
+        D = max(D_req, float(m))
+        err = ratelab.l2_error_quad(net, lambda x: bspline_closed(m, x), -D, D)
         if err <= 0.9 * eps or count > 1 << 14:
             break
         count *= 2
@@ -392,12 +394,6 @@ def _bspline_fallback(m, eps, D_req, spec):
         raise PrecisionError("knot interpolant did not reach the L2 target")
     return BuildReport(net, 2, 3 * count + 3, eps, D_req,
                        (("knots", float(count)),))
-
-
-def _l2_error_vs_bspline(net, m, D, panels=2048):
-    from .ratelab import l2_error_quad  # local import; no cycle at module load
-
-    return l2_error_quad(net, lambda x: bspline_closed(m, x), -D, D, panels)
 
 
 def bspline_coefficients(m: int) -> list:

@@ -182,12 +182,6 @@ class ActivationSpec:
         if not (self.C > 0 and self.a > 0 and self.b > 0):
             raise FormatError("constants (C, a, b) must be positive")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "relu_power":
-            return np.maximum(x, 0.0) ** self.k
-        return x ** self.k * _sigmoid(x)
-
 
 def _sigmoid(x):
     out = np.empty_like(x, dtype=float)
@@ -247,9 +241,6 @@ class Network:
         vals = [abs(v) for s in self.steps for _, _, v in s.edge_weights]
         vals += [abs(v) for s in self.steps for _, v in s.node_weights]
         return max(vals) if vals else 0.0
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
 
 def connectivity(net: Network) -> int:

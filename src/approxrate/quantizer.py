@@ -13,6 +13,7 @@ import numpy as np
 
 from .exceptions import QuantizerError, SearchExhaustedError
 from .nnet import _UP, AffineStep, Network, _evaluate_bounded, evaluate_batch
+from .ratelab import _SUP_GRID
 from .wedgelet import _round_half_toward_zero
 
 __all__ = [
@@ -89,6 +90,10 @@ def weight_range_exponent(net: Network, eta: float) -> int:
 
 
 def _quantization_grid(d: int, D: float, grid: int):
+    """About ``grid`` points per input dimension over [-D, D]^d (d <= 2); a
+    D that is not finite and positive is a ``QuantizerError``."""
+    if not (math.isfinite(D) and D > 0):
+        raise QuantizerError(f"the sup grid needs a finite D > 0, got {D!r}")
     if int(grid) < 1:
         raise QuantizerError("the sup grid needs at least one point")
     if d == 1:
@@ -100,8 +105,6 @@ def _quantization_grid(d: int, D: float, grid: int):
         return np.stack([xg.ravel(), yg.ravel()])
     raise QuantizerError("sup grids are provided for input dimension <= 2")
 
-
-_SUP_GRID = 10_000  # find_min_m's default, and the grid quantize reports on
 
 # 625 screen points at the default grid: a small share of a candidate's
 # cost, and nearly every rejected m already fails there
@@ -187,7 +190,8 @@ def _sup_error(q: _Grid, ref: _Grid) -> float:
 
 
 def measured_sup_error(qnet: Network, net: Network, D: float) -> float:
-    """max |qnet - net| on the grid find_min_m searches by default."""
+    """max |qnet - net| on the grid find_min_m searches by default; D must
+    be finite and > 0 (``QuantizerError``)."""
     xs = _quantization_grid(net.input_dim, D, _SUP_GRID)
     return _sup_error(_Grid(qnet, xs), _Grid(net, xs))
 
@@ -199,8 +203,9 @@ def find_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_GRID
     The theory guarantees some m works for acceptable activations; the
     sharp value is network-specific, so we search instead of trusting the
     proof's constants.  The grid covers [-D, D]^d with about ``grid``
-    points per input dimension (d <= 2).  The error is that of the
-    double-double evaluator, ``evaluate_batch``.
+    points per input dimension (d <= 2); D must be finite and > 0
+    (``QuantizerError``).  The error is that of the double-double
+    evaluator, ``evaluate_batch``.
 
     Each m is screened on every 16th grid point first and rejected there
     if the screen alone exceeds eta; only an m that passes is evaluated on

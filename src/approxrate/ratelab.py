@@ -40,10 +40,21 @@ def _as_callable(obj):
     raise InputShapeError("expected a Network or a callable target")
 
 
-def sup_error_on_grid(candidate, target, lo, hi, points=10_000) -> float:
-    """Max abs difference on a uniform grid over [lo, hi], over every
-    output of a network."""
-    xs = np.linspace(float(lo), float(hi), int(points))
+_SUP_GRID = 10_000  # sup-grid points, for the build certificates and quantize
+_L2_PANELS = 2048  # Simpson panels of l2_error_quad
+
+
+def _check_bounds(lo, hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"need finite bounds with lo <= hi, got [{lo!r}, {hi!r}]")
+
+
+def sup_error_on_grid(candidate, target, lo, hi) -> float:
+    """Max abs difference on a uniform grid of ``_SUP_GRID`` points over
+    [lo, hi], over every output of a network.  Bounds that are not finite,
+    or lo > hi, are a ``DomainError``."""
+    _check_bounds(lo, hi)
+    xs = np.linspace(float(lo), float(hi), _SUP_GRID)
     return float(np.max(np.abs(_as_callable(candidate)(xs) - _as_callable(target)(xs))))
 
 
@@ -54,18 +65,16 @@ def _simpson_weights(panels: int):
     return w
 
 
-def l2_error_quad(candidate, target, lo, hi, panels: int = 2048) -> float:
+def l2_error_quad(candidate, target, lo, hi) -> float:
     """L2 distance on [lo, hi] by composite Simpson quadrature; the squared
     differences of a network's outputs are summed.  Bounds that are not
     finite, or lo > hi, are a ``DomainError``."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise DomainError(f"need finite bounds with lo <= hi, got [{lo!r}, {hi!r}]")
-    panels = int(panels)
-    xs = np.linspace(float(lo), float(hi), 2 * panels + 1)
+    _check_bounds(lo, hi)
+    xs = np.linspace(float(lo), float(hi), 2 * _L2_PANELS + 1)
     diff = _as_callable(candidate)(xs) - _as_callable(target)(xs)
     squares = (diff * diff).reshape(-1, xs.size).sum(axis=0)
-    h = (hi - lo) / panels
-    val = h / 6.0 * float(np.dot(_simpson_weights(panels), squares))
+    h = (hi - lo) / _L2_PANELS
+    val = h / 6.0 * float(np.dot(_simpson_weights(_L2_PANELS), squares))
     return math.sqrt(max(val, 0.0))
 
 
@@ -86,14 +95,6 @@ class RateReport:
     fitted_slope: float
     intercept: float
     r_squared: float
-
-    @property
-    def sizes(self):
-        return [s for s, _ in self.samples]
-
-    @property
-    def errors(self):
-        return [e for _, e in self.samples]
 
 
 def fit_rate(samples) -> RateReport:

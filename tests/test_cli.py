@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,12 +311,16 @@ def test_threads_flag_is_gone():
     assert run(["bspline", "--m", "3", "--samples", "4", "--threads", "2"]) == 2
 
 
+def _small_network_doc():
+    return json.loads(network_to_json(Network(
+        (AffineStep(1, 1, ((0, 0, 1.0),)), AffineStep(1, 1, ((0, 0, 2.0),))),
+        relu_power(1))))
+
+
 def _hostile_network(path, token):
     """A valid two-layer document with the field at ``path`` written as the
     raw JSON ``token``."""
-    doc = json.loads(network_to_json(Network(
-        (AffineStep(1, 1, ((0, 0, 1.0),)), AffineStep(1, 1, ((0, 0, 2.0),))),
-        relu_power(1))))
+    doc = _small_network_doc()
     field = doc
     for key in path[:-1]:
         field = field[key]
@@ -351,3 +356,65 @@ def test_a_hostile_network_document_is_refused_with_format_error(tmp_path, capsy
               "--out", str(tmp_path / "q.json")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("FormatError:")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("D", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("how", [["--auto"], ["--m", "3"]])
+def test_quantize_with_a_bad_domain_half_width_exits_1(tmp_path, capsys, how, D):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy sees the grid
+        rc = run(["quantize", "--net", str(GOLDEN / "bspline_m3_k2.json"), "--eta", "0.1",
+                  *how, "--D", D, "--out", str(tmp_path / "q.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("QuantizerError:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _edited_network(edit):
+    doc = _small_network_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("how", [["--auto"], ["--m", "2"]])
+@pytest.mark.parametrize("text, error", [
+    pytest.param(_edited_network(lambda d: d.update(steps=d["steps"][:1], L=1)),
+                 "CompositionError", id="one-step"),
+    pytest.param(_edited_network(lambda d: d.update(L=3)), "FormatError", id="L-disagrees"),
+    pytest.param(_edited_network(lambda d: d["steps"][0].update(nodes=[[1, 0.5]])),
+                 "InputShapeError", id="node-row-at-out"),
+    pytest.param(_hostile_network(("steps", 0, "edges", 0, 2), "Infinity"),
+                 "FormatError", id="weight-infinity"),
+    pytest.param(network_to_json(Network(
+        (AffineStep(3, 1, ((0, 0, 1.0), (0, 2, -0.5))), AffineStep(1, 1, ((0, 0, 2.0),))),
+        relu_power(2))), "QuantizerError", id="three-inputs"),
+])
+def test_quantize_refuses_a_network_it_cannot_take(tmp_path, capsys, text, error, how):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = run(["quantize", "--net", str(bad), "--eta", "0.1", *how,
+              "--out", str(tmp_path / "q.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"{error}:")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["quantize", "--net", "net.json", "--eta", "0.1", "--m", "0"], "QuantizerError"),
+    (["quantize", "--net", "net.json", "--eta", "0.1", "--k", "0", "--auto"], "QuantizerError"),
+    (["wedge", "encode", "--in", "x.raw", "--lambda", "-1"], "RangeError"),
+    (["build", "--target", "power", "--k", "2", "--L", "0", "--eps", "0.05"], "BuilderError"),
+    (["build", "--target", "bspline", "--k", "2", "--m", "1", "--eps", "0.05"], "BuilderError"),
+    (["build", "--target", "monomial", "--k", "2", "--m", "1", "--eps", "0.05"], "BuilderError"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_knob_out_of_its_domain_exits_1_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "net.json").write_text(json.dumps(_small_network_doc()))
+    write_raw_array("x.raw", rasterize(disc_star(), 16, 4))
+    assert run(argv + ["--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "x.raw"]

@@ -46,6 +46,7 @@ import math
 import struct
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from math import comb
 from pathlib import Path
 
@@ -392,3 +393,38 @@ def test_decoded_golden_stream_matches_its_digest(digest, raw, tmp_path):
 def test_every_golden_stream_has_a_decoded_digest():
     assert sorted(str(Path(raw).with_suffix(".wdgl")) for _, raw in DECODED) == ALL_STREAMS
     assert len(ALL_STREAMS) == 7
+
+
+def _codes_of(name):
+    """A golden stream's code from ``from_bytes``, and the code built from
+    its records."""
+    read = WedgeCode.from_bytes((GOLDEN / name).read_bytes())
+    return read, WedgeCode(read.J, read.K, read.m_cap, read.records)
+
+
+@pytest.mark.parametrize("field", ["J", "K", "m_cap", "records"])
+@pytest.mark.parametrize("made", ["from_bytes", "from_records"])
+def test_a_wedge_code_refuses_assignment_and_deletion(field, made):
+    code = _codes_of("disc64_lam.wdgl")[made == "from_records"]
+    before = getattr(code, field)
+    with pytest.raises(FrozenInstanceError):
+        setattr(code, field, 0)
+    with pytest.raises(FrozenInstanceError):
+        delattr(code, field)
+    assert getattr(code, field) == before
+
+
+@pytest.mark.parametrize("name", ALL_STREAMS)
+def test_a_wedge_code_equals_and_hashes_as_the_code_of_its_records(name):
+    read, made = _codes_of(name)
+    assert read == made and made == read
+    assert hash(read) == hash(made)
+    assert read != object() and not (read == object())
+    assert read.__eq__(object()) is NotImplemented
+
+
+def test_a_wedge_code_repr_names_its_header():
+    read, made = _codes_of("petals64_lam.wdgl")
+    assert repr(read).startswith(
+        f"WedgeCode(J={read.J!r}, K={read.K!r}, m_cap={read.m_cap!r}, records=(")
+    assert repr(read) == repr(made)

@@ -228,9 +228,10 @@ def test_activation_spec_validation():
 
 def test_logistic_power_mirrored_pair_is_square():
     # sigma(x) + sigma(-x) == 1, so rho(x) + rho(-x) == x^2 for k = 2
-    spec = logistic_power(2)
+    rho = chain([1.0, 1.0], logistic_power(2))  # one unit: x -> rho(x)
     xs = np.linspace(-5, 5, 201)
-    assert np.allclose(spec(xs) + spec(-xs), xs * xs, rtol=0.0, atol=1e-12)
+    pair = evaluate_batch(rho, xs[None, :])[0] + evaluate_batch(rho, -xs[None, :])[0]
+    assert np.allclose(pair, xs * xs, rtol=0.0, atol=1e-12)
 
 
 def test_json_loader_refuses_tabulated_activation():

@@ -46,6 +46,12 @@ def test_l2_error_quad_refuses_a_reversed_or_unbounded_interval(lo, hi):
         l2_error_quad(lambda x: 1.0, lambda x: 0.0, lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(1, -1), (0.0, np.inf)])
+def test_sup_error_on_grid_refuses_a_reversed_or_unbounded_interval(lo, hi):
+    with pytest.raises(DomainError):
+        sup_error_on_grid(lambda x: 1.0, lambda x: 0.0, lo, hi)
+
+
 def test_sup_error_on_grid_symmetric():
     f = lambda x: x * x
     g = lambda x: x * x + 0.25
