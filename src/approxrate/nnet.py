@@ -27,7 +27,6 @@ __all__ = [
     "Network",
     "relu_power",
     "logistic_power",
-    "evaluate",
     "evaluate_batch",
     "connectivity",
     "serial_compose",
@@ -246,17 +245,6 @@ class Network:
 def connectivity(net: Network) -> int:
     """Total number of stored nonzero edge and node weights."""
     return sum(s.weight_count for s in net.steps)
-
-
-def evaluate(net: Network, x) -> np.ndarray:
-    """Evaluate the network on one input vector of length ``input_dim``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (net.input_dim,):
-        raise InputShapeError(
-            f"expected input of length {net.input_dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputShapeError("input contains non-finite entries")
-    return evaluate_batch(net, x[:, None])[:, 0]
 
 
 def evaluate_batch(net: Network, xs) -> np.ndarray:

@@ -31,6 +31,18 @@ def _check_eta(eta):
         raise QuantizerError("eta must lie in (0, 1/2]")
 
 
+def _power(eta: float, e: int) -> float:
+    """eta^e; past the float range, with the clamp tests' slack 1 + 1e-12,
+    a ``QuantizerError`` where ``**`` raises an untyped OverflowError."""
+    try:
+        value = eta ** e
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value * (1.0 + 1e-12)):
+        raise QuantizerError(f"eta^{e} is past the float range")
+    return value
+
+
 def _quantize_values(ws, eta: float, k: int, m: int) -> list:
     """Each weight in ``ws`` rounded to the nearest point of eta^m Z within
     the clamp range, ties toward zero, all at once.
@@ -39,10 +51,11 @@ def _quantize_values(ws, eta: float, k: int, m: int) -> list:
     budget; when the budget is exactly tight (eta an inverse power of two)
     the single extreme grid point is shaved off.
     """
+    # checked first: while eta^-(m+k) is a float, eta^m is not 0
+    q_cap = min(int(math.floor(_power(eta, -(m + k)) * (1.0 + 1e-12))),
+                (1 << (bits_per_weight(eta, k, m) - 1)) - 1)
     step = eta ** m
     qs = _round_half_toward_zero(np.array(ws, dtype=float) / step).tolist()
-    q_cap = min(int(math.floor(eta ** (-(m + k)) * (1.0 + 1e-12))),
-                (1 << (bits_per_weight(eta, k, m) - 1)) - 1)
     return [max(-q_cap, min(q_cap, int(q))) * step for q in qs]
 
 
@@ -56,7 +69,7 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
     _check_eta(eta)
     if k < 1 or m < 1:
         raise QuantizerError("k and m must be >= 1")
-    cap = eta ** (-k)
+    cap = _power(eta, -k)
     worst = net.max_abs_weight()
     if worst > cap * (1.0 + 1e-12):
         raise QuantizerError(
@@ -82,7 +95,7 @@ def weight_range_exponent(net: Network, eta: float) -> int:
     _check_eta(eta)
     worst = net.max_abs_weight()
     k = 1
-    while eta ** (-k) * (1.0 + 1e-12) < worst:
+    while _power(eta, -k) * (1.0 + 1e-12) < worst:
         k += 1
         if k > 64:
             raise QuantizerError("weights too large for any reasonable range")

@@ -12,7 +12,8 @@ fit, the projection and the decoder all see the same mask.  When M_cap is a
 power of two the vertices and samples are dyadic and every side test is
 exact; otherwise the vertices are rounded, but the same way everywhere.
 The fit therefore renders the masks of each (M_j, block size) once per
-process and scores every image against that cached, compact dictionary.
+process and scores every image against that cached, compact dictionary;
+the encoder rounds the coefficients the scores keep, drawing no mask.
 ``project`` and ``decode`` take their masks and Grams from the same
 dictionary and handle a whole quadtree scale at a time; where an entry is
 not built yet, they draw only the edgelets their leaves name, with the
@@ -462,10 +463,10 @@ def project(f_array, partition: EdRdp):
                       recon)
 
 
-def _solve(f, table, partner, recon=None):
+def _solve(f, table, partner, recon):
     """(coefficients, thetas) of the projection of f onto a checked table
-    whose split leaves all have their ``partner``; the fit is added into
-    ``recon`` when one is given."""
+    whose split leaves all have their ``partner``, added into ``recon``;
+    ``project``'s solve, kept apart from the scores the encoder rounds."""
     n = f.shape[0]
     norm = 1.0 / (n * n)
     v = np.zeros(partner.size)
@@ -478,17 +479,15 @@ def _solve(f, table, partner, recon=None):
             g = size * size * norm
             v[whole] = tiles[table.windows(whole)].sum(axis=(1, 2)) * norm
             coefs[whole], thetas[whole] = v[whole] / g, v[whole] / np.sqrt(g)
-            if recon is not None:
-                np.add.at(_tiles(recon, j), table.windows(whole), coefs[whole, None, None])
+            np.add.at(_tiles(recon, j), table.windows(whole), coefs[whole, None, None])
         if not cut.size:
             continue
         masks, grams = _split_masks(table, j, cut)
         v[cut] = np.einsum("kij,kij->k", tiles[table.windows(cut)], masks) * norm
         # the other side of a pair lies in the same square, so in this scale
         coefs[cut], thetas[cut] = _pair_solve(v[cut], v[partner[cut]], grams, norm)
-        if recon is not None:
-            masks *= coefs[cut, None, None]
-            np.add.at(_tiles(recon, j), table.windows(cut), masks)
+        masks *= coefs[cut, None, None]
+        np.add.at(_tiles(recon, j), table.windows(cut), masks)
     return coefs, thetas
 
 
@@ -761,8 +760,9 @@ class _Scores:
     is none).  ``theta`` is the coefficient of the square kept whole, and
     ``theta0`` and ``theta1`` those of sides 0 and 1 of its winning split,
     each in normalized-mask units as ``project`` gives them; ``cross`` is
-    that split's mask cosine g01 / sqrt(g00 g11).  A pruned partition's
-    leaves read their thetas from these (see ``_closed_form``).
+    that split's mask cosine g01 / sqrt(g00 g11).  These thetas are the
+    codec's one coefficient source: a pruned partition's leaves read theirs
+    from here (see ``_rounded``).
     """
 
     J: int
@@ -826,8 +826,8 @@ def _score(f, J: int, K: int, m_cap: int) -> _Scores:
     score serves every lambda.  Of the constant squares of a scale, one
     per distinct value is scored (see ``_distinct_squares``).  Each
     square also keeps its coefficients, kept whole and split by the
-    winner, from which any pruned partition's code follows (see
-    ``_closed_form``).
+    winner, which the encoder rounds into any pruned partition's code
+    (see ``_rounded``).
     """
     n = 1 << J
     norm = 1.0 / (n * n)
@@ -924,20 +924,22 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
     with the smallest squared error and does not depend on ``lam``.  Ties
     prefer smaller edgelet indices, then the unsplit leaf, then the leaf
     over the quad, so results are reproducible bit for bit.  The leaves
-    are the rows of ``_fit``'s table; ``encode`` quantizes the table itself.
+    are the rows of ``_fit``'s table, whose scored thetas ``encode`` rounds;
+    ``project`` solves for the same partition's thetas by least squares.
     """
-    return EdRdp(_fit(f_array, J, K, m_cap, lam).leaves(), 1 << J, K, m_cap)
+    return EdRdp(_fit(f_array, J, K, m_cap, lam)[1].leaves(), 1 << J, K, m_cap)
 
 
-def _fit(f_array, J: int, K: int, m_cap: int, lam: float) -> _Leaves:
-    """The leaf table ``_prune`` keeps of the checked array at ``lam``."""
+def _fit(f_array, J: int, K: int, m_cap: int, lam: float):
+    """(the checked array's scores, the leaf table ``_prune`` keeps at lam)."""
     _layout(J, K, m_cap)  # a header no stream can carry is refused unfitted
     f = _check_array(f_array, 1 << J)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam < 0.0:
         raise RangeError("lambda must be >= 0")
-    return _prune(_score(f, J, K, m_cap), lam)
+    scores = _score(f, J, K, m_cap)
+    return scores, _prune(scores, lam)
 
 
 def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
@@ -1003,7 +1005,7 @@ def _record_widths(J: int, K: int, m_cap: int) -> tuple:
 
 def _theta_bound(eta: float) -> float:
     """The largest |theta| the coefficient alphabet holds, 1 + eta, with
-    slack for rounding in the solve."""
+    slack for rounding in the scores."""
     return 1.0 + eta + 1e-12
 
 
@@ -1196,26 +1198,39 @@ def _coefficients(records, offset: int):
 
 def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
            lam: float = 0.0) -> WedgeCode:
-    """Fit, project, quantize, and pack; zero coefficients are dropped.
+    """Score, prune, quantize, and pack; zero coefficients are dropped.
 
-    Coefficients of ``_fit``'s leaf table, against unit-normalized masks,
-    are rounded to the nearest multiple of eta = n^-2 with ties toward zero.
+    The scored thetas of ``_fit``'s leaf table, against unit-normalized
+    masks, are rounded to the nearest multiple of eta = n^-2 with ties
+    toward zero; where the pixel sums are exact they are ``project``'s.
     """
-    f = np.asarray(f_array, dtype=float)  # _fit checks it
-    return _quantize(f, _fit(f, J, K, m_cap, lam), K, m_cap)
+    return _quantize(*_fit(f_array, J, K, m_cap, lam))
 
 
-def _quantize(f, table: _Leaves, K: int, m_cap: int) -> WedgeCode:
-    """Round to eta the thetas of ``f`` on the leaves of a table ``_prune``
-    gave, ``project``'s with no reconstruction drawn; keep rows with q != 0."""
-    thetas = _solve(f, table, table.pairs())[1]
+def _rounded(scores: _Scores, table: _Leaves):
+    """(index of each leaf's square in the scores, its theta, its q as a
+    float) for a table ``_prune`` gave; the encoder's one coefficient rule.
+
+    Each leaf's theta is gathered from its square's scored ones: the whole
+    square's, or that of its side of the winning split, which is the split
+    ``_prune`` keeps.  A theta outside the alphabet's [-1-eta, 1+eta] is a
+    ``RangeError``; q = theta / eta rounded half toward zero.
+    """
+    at = _first(table.j) + (table.iy << table.j) + table.ix
+    thetas = np.where(table.local < 0, scores.theta[at],
+                      np.where(table.side == 0, scores.theta0[at], scores.theta1[at]))
     eta = 1.0 / (1 << 2 * table.J)
     over = np.flatnonzero(np.abs(thetas) > _theta_bound(eta))
     if over.size:
         raise RangeError(f"coefficient {thetas[over[0]]:.6g} outside [-1-eta, 1+eta]")
-    q = _round_half_toward_zero(thetas / eta).astype(np.int64)
+    return at, thetas, _round_half_toward_zero(thetas / eta)
+
+
+def _quantize(scores: _Scores, table: _Leaves) -> WedgeCode:
+    """The code of a table ``_prune`` gave: its rows with q != 0."""
+    q = _rounded(scores, table)[2].astype(np.int64)
     keep = q != 0
-    return WedgeCode._of_table(table.J, K, m_cap, table.take(keep), q[keep])
+    return WedgeCode._of_table(table.J, scores.K, scores.m_cap, table.take(keep), q[keep])
 
 
 def _round_half_toward_zero(x):
@@ -1269,9 +1284,9 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     push the penalty as high as the target allows.  The image is scored
     once; each of the 17 probes prunes and reads its code's bits and error
     from the scores (see ``_probe``), and only the partition returned is
-    projected, quantized and decoded.  Returns (code, error, reached); when
-    the target is unreachable even at zero penalty the best-effort code
-    comes back with reached = False.
+    quantized and decoded.  Returns (code, error, reached); when the target
+    is unreachable even at zero penalty the best-effort code comes back
+    with reached = False.
     """
     _layout(J, K, m_cap)
     n = 1 << J
@@ -1281,7 +1296,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
         raise DomainError(f"target eps must be finite, got {target_eps!r}")
     scores = _score(f, J, K, m_cap)
 
-    def attempt(lam):  # (table, bits, err, code or None)
+    def attempt(lam):  # (table, bits, err)
         table = _prune(scores, lam)
         return (table, *_probe(f, scores, table, target_eps))
 
@@ -1298,72 +1313,53 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
                     best = probe
             else:
                 hi = mid
-    table, _, err, code = best
-    if code is None:
-        _, err, code = _realize(f, table, K, m_cap)
+    _, err, code = _realize(f, scores, best[0])
     return code, err, reached
 
 
-def _realize(f, table: _Leaves, K: int, m_cap: int):
+def _realize(f, scores: _Scores, table: _Leaves):
     """(bits, RMS error, code) of a pruned table through ``_quantize`` and
     ``decode``."""
-    code = _quantize(f, table, K, m_cap)
+    code = _quantize(scores, table)
     return code.bit_length, float(np.sqrt(np.mean((decode(code) - f) ** 2))), code
 
 
 def _probe(f, scores: _Scores, table: _Leaves, target: float):
-    """(bits, RMS error, code) of the code ``_quantize`` makes of a table
+    """(bits, RMS error) of the code ``_quantize`` makes of a table
     ``_prune`` gave.
 
-    Read from the scores by ``_closed_form``, with code None, unless that
-    cannot decide: a theta near the coefficient bound, or a squared error
+    Read from the scores by ``_closed_form`` unless its squared error is
     within a relative 2e-9 of the target's square (1e-9 on the error) or
     within the rounding of scored errors that cancel against the pixels'
-    energy, sum f^2 * norm.  Then ``_realize`` makes and decodes the code.
+    energy, sum f^2 * norm: then ``_realize`` decodes the code and
+    measures it.
     """
-    closed = _closed_form(f, scores, table)
-    if closed is not None:
-        bits, mse = closed
-        energy = scores.sse_whole[0] + scores.theta[0] ** 2
-        if abs(mse - target * target) > 2e-9 * target * target + 1e-12 * energy:
-            return bits, math.sqrt(mse), None
-    return _realize(f, table, scores.K, scores.m_cap)
+    bits, mse = _closed_form(scores, table)
+    energy = scores.sse_whole[0] + scores.theta[0] ** 2
+    if abs(mse - target * target) > 2e-9 * target * target + 1e-12 * energy:
+        return bits, math.sqrt(mse)
+    return _realize(f, scores, table)[:2]
 
 
-def _closed_form(f, scores: _Scores, table: _Leaves):
+def _closed_form(scores: _Scores, table: _Leaves):
     """(bits, mean squared error) of the code ``_quantize`` makes of a
-    table ``_prune`` gave, read from the scores; None when some theta is
-    within a relative 1e-9 of the coefficient bound.
+    table ``_prune`` gave, read from the scores.
 
-    Each leaf's theta is gathered from its square's scored ones: the
-    whole square's, or that of its side of the winning split, which is
-    the split ``_prune`` keeps.  Scored and projected inner products may
-    differ in the last bits, so when some theta / eta is within a
-    relative 1e-9 of a half-integer, where q could round the other way,
-    every theta comes from ``project``'s own solve instead.  The squared
-    error is exact in closed form, since the leaves are disjoint and the
-    projection residual is orthogonal to their span: the squares' scored
-    squared errors plus (theta - q eta)^T G (theta - q eta) over each
-    square's leaves, with G the Gram of their unit-norm masks, whose off
-    diagonal is the scored ``cross``.  The bits sum ``_layout``'s field
-    widths over the records with q != 0.
+    The thetas and q are ``_rounded``'s, the ones ``_quantize`` keeps.  The
+    squared error is exact in closed form, since the leaves are disjoint
+    and the residual of the scored fit is orthogonal to their span: the
+    squares' scored squared errors plus (theta - q eta)^T G (theta - q eta)
+    over each square's leaves, with G the Gram of their unit-norm masks,
+    whose off diagonal is the scored ``cross``.  The bits sum ``_layout``'s
+    field widths over the records with q != 0.
     """
-    J, K, m_cap = scores.J, scores.K, scores.m_cap
-    eta = 1.0 / (1 << 2 * J)
-    j, split, side0 = table.j, table.local >= 0, table.side == 0
-    at = _first(j) + (table.iy << j) + table.ix
-    thetas = np.where(split, np.where(side0, scores.theta0[at], scores.theta1[at]),
-                      scores.theta[at])
-    if np.any(np.abs(thetas) > _theta_bound(eta) * (1.0 - 1e-9)):
-        return None
-    x = np.abs(thetas) / eta
-    if np.any(np.abs(x - np.floor(x) - 0.5) <= 1e-9 * np.maximum(x, 1.0)):
-        thetas = _solve(f, table, table.partners())[1]
-    q = _round_half_toward_zero(thetas / eta)
+    at, thetas, q = _rounded(scores, table)
+    eta = 1.0 / (1 << 2 * scores.J)
     d = thetas - q * eta
+    split, side0 = table.local >= 0, table.side == 0
     first = np.flatnonzero(split & side0)  # side 1 of a split square is the next row
     sse = np.where(split, scores.sse_split[at], scores.sse_whole[at])[side0]
     cross = scores.cross[at[first]]
     mse = sse.sum() + np.sum(d * d) + 2.0 * np.sum(d[first] * d[first + 1] * cross)
-    width = _field_widths(J, K, m_cap, j, split).sum(axis=0)
+    width = _field_widths(scores.J, scores.K, scores.m_cap, table.j, split).sum(axis=0)
     return _stream_bits(int(width[q != 0].sum())), max(float(mse), 0.0)

@@ -373,6 +373,22 @@ def test_quantize_with_a_bad_domain_half_width_exits_1(tmp_path, capsys, how, D)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("how", [
+    ["--eta", "0.1", "--m", "400"],
+    ["--eta", "0.1", "--k", "100000", "--m", "2"],
+    ["--eta", "1e-300", "--m", "2"],
+    ["--eta", "1e-200", "--auto"],
+])
+def test_quantize_past_the_float_range_exits_1(tmp_path, capsys, how):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy divides by a step of 0
+        rc = run(["quantize", "--net", str(GOLDEN / "bspline_m3_k2.json"), *how,
+                  "--out", str(tmp_path / "q.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("QuantizerError:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _edited_network(edit):
     doc = _small_network_doc()
     edit(doc)

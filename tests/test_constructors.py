@@ -20,7 +20,7 @@ from approxrate.constructors import (
 from approxrate.exceptions import BuilderError, ConditioningError
 from approxrate.nnet import (
     connectivity,
-    evaluate,
+    evaluate_batch,
     logistic_power,
     relu_power,
 )
@@ -239,7 +239,8 @@ def test_build_bspline_exact_hat():
     rep = build_bspline_net(2, 0.01, 3.0, RELU[1])
     err = l2_error_quad(rep.network, lambda x: bspline_closed(2, x), -3, 3)
     assert err <= 1e-10
-    assert evaluate(rep.network, [1.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_batch(rep.network, np.array([[1.0]]))[0, 0] \
+        == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_bspline_k1_fallback():

@@ -16,7 +16,6 @@ from approxrate.nnet import (
     AffineStep,
     Network,
     connectivity,
-    evaluate,
     evaluate_batch,
     identity_extend,
     logistic_power,
@@ -36,6 +35,11 @@ def chain(weights, spec):
 @pytest.fixture
 def relu():
     return relu_power(1)
+
+
+def evaluate(net, x):
+    """The net's outputs at one input vector x."""
+    return evaluate_batch(net, np.asarray(x, dtype=float)[:, None])[:, 0]
 
 
 @pytest.fixture

@@ -75,9 +75,11 @@ def test_pruned_table_equals_the_recursive_walk(J):
 def _image(name, n):
     if name == "disc":
         return rasterize(disc_star(), n, 4)
-    if name == "petals":
+    if name in ("petals", "petals_ss5"):
         spec = make_hypercube(2.0 ** -5, 2.0, 1.0)
-        return rasterize(vertex_function(spec, (1, 0) * (spec.m // 2)), n, 4)
+        # at supersample 5 the pixels are multiples of 1/25, so sums round
+        return rasterize(vertex_function(spec, (1, 0) * (spec.m // 2)), n,
+                         5 if name == "petals_ss5" else 4)
     return np.random.default_rng(n).random((n, n))
 
 
@@ -103,8 +105,8 @@ def test_closed_form_bits_and_error_equal_the_decoded_code(name, J):
     scores = wedgelet._score(f, J, J, M_CAP)
     for lam in _probe_penalties(f, J):
         table = wedgelet._prune(scores, lam)
-        bits, mse = wedgelet._closed_form(f, scores, table)
-        code = wedgelet._quantize(f, table, J, M_CAP)
+        bits, mse = wedgelet._closed_form(scores, table)
+        code = wedgelet._quantize(scores, table)
         err = math.sqrt(np.mean((decode(code) - f) ** 2))
         assert bits == code.bit_length == 8 * len(code.to_bytes())
         assert math.sqrt(mse) == pytest.approx(err, rel=1e-12, abs=0.0)
@@ -121,14 +123,15 @@ def _scored_thetas(scores, table):
 @pytest.mark.parametrize("name", ["disc", "petals", "noise"])
 @pytest.mark.parametrize("J", [6, 7])
 def test_scored_thetas_equal_the_projection(name, J):
-    # the closed form reads every probe's thetas from the scores; on a
+    # the encoder rounds every leaf's theta as the scores hold it; on a
     # cartoon every pixel is a multiple of 1/16, so every sum is exact and
     # they equal the projection's bit for bit
     f = _image(name, 1 << J)
     scores = wedgelet._score(f, J, J, M_CAP)
     for lam in _probe_penalties(f, J):
         table = wedgelet._prune(scores, lam)
-        thetas = wedgelet._solve(f, table, table.pairs())[1]
+        partition = wedgelet.EdRdp(table.leaves(), 1 << J, J, M_CAP)
+        thetas = np.array(project(f, partition).thetas)
         if name == "noise":
             np.testing.assert_allclose(_scored_thetas(scores, table), thetas,
                                        rtol=0, atol=1e-12)
@@ -149,8 +152,9 @@ def test_exact_ties_take_the_projected_thetas(monkeypatch):
     solves = _counted(monkeypatch, "_solve")
     quantizes = _counted(monkeypatch, "_quantize")
     code, err, reached = encode_to_target(f, 7, 7, M_CAP, TARGET)
-    # five probes hold a theta / eta of exactly k + 1/2; _quantize solves once more
-    assert len(solves) - len(quantizes) == 5
+    # five probes hold a theta / eta of exactly k + 1/2; their scored thetas
+    # equal the projected ones bit for bit, so nothing solves
+    assert solves == []
     assert len(quantizes) == 1
     ref_code, ref_err, ref_reached = _reference_encode_to_target(f, 7, 7, M_CAP, TARGET)
     assert code.to_bytes() == ref_code.to_bytes()
@@ -209,9 +213,18 @@ def test_the_encoder_builds_no_leaf_object(monkeypatch):
     solves = _counted(monkeypatch, "_solve")
     encode(f, 7, 7, M_CAP, 128.0 ** -3)
     assert encode_to_target(f, 7, 7, M_CAP, TARGET)[2]
-    # encode's, the five probes with exact ties, and the code returned
-    assert len(solves) == 1 + 5 + 1
+    # neither encode nor the five probes with exact ties solves
+    assert solves == []
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("name", ["disc", "petals", "noise"])
+def test_a_fixed_penalty_encode_draws_no_mask(name, monkeypatch):
+    f = _image(name, 64)
+    masks = _counted(monkeypatch, "_split_masks")
+    code = encode(f, 6, 6, M_CAP, 64.0 ** -3)
+    assert masks == []
+    assert any(leaf.split is not None for leaf, _ in code.records)
 
 
 def _nearest_half_toward_zero(x: float) -> int:
@@ -221,7 +234,7 @@ def _nearest_half_toward_zero(x: float) -> int:
     return int(math.copysign(whole + (abs(x) - whole > 0.5), x))
 
 
-@pytest.mark.parametrize("name", ["disc", "petals", "noise"])
+@pytest.mark.parametrize("name", ["disc", "petals", "petals_ss5", "noise"])
 @pytest.mark.parametrize("J", [6, 7])
 def test_encode_keeps_the_rounded_thetas_of_the_public_fit(name, J):
     f = _image(name, 1 << J)

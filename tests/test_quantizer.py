@@ -140,6 +140,18 @@ def test_weight_range_exponent():
     assert weight_range_exponent(chain([99.0, 1.0]), 0.1) == 2
 
 
+def test_powers_past_the_float_range_are_refused():
+    # eta^-31 = 1e310 would be needed to hold a weight of 1e305
+    with pytest.raises(QuantizerError, match="float range"):
+        weight_range_exponent(chain([1e305, 1.0]), 1e-10)
+    with pytest.raises(QuantizerError, match="float range"):
+        quantize_weights(chain([1.0, 1.0]), 0.1, 1, 400)
+    with pytest.raises(QuantizerError, match="float range"):
+        quantize_weights(chain([1.0, 1.0]), 0.1, 100_000, 2)
+    with pytest.raises(QuantizerError, match="float range"):
+        _quantize_values([1.0], 1e-300, 1, 2)
+
+
 def full_grid_errors(net, eta, k, D, m_cap=64):
     """Plain search: quantize, then the sup error on the whole grid, m = 1, 2, ...
 
