@@ -141,6 +141,30 @@ def covering_distortion_exact(m: int, R: int) -> float:
     return best
 
 
+_BLOCK = 256  # sample rows scored at once: 256 * 24 < 2**16 keeps uint16 sums exact
+
+
+def _nearest_sums(sample, near, pool):
+    """For every candidate p in ``pool``, the int64 sum over rows s of
+    min(near[s], |sample[s] xor p|).
+
+    Rows go ``_BLOCK`` at a time through buffers every block reuses, so no
+    sample-by-pool array is built.
+    """
+    total = np.zeros(len(pool), dtype=np.int64)
+    xor = np.empty((_BLOCK, len(pool)), dtype=np.uint32)
+    dist = np.empty((_BLOCK, len(pool)), dtype=np.uint8)
+    col = np.empty(len(pool), dtype=np.uint16)
+    for lo in range(0, len(sample), _BLOCK):
+        block = sample[lo:lo + _BLOCK]
+        x, d = xor[:len(block)], dist[:len(block)]
+        np.bitwise_xor(block[:, None], pool[None, :], out=x)
+        np.bitwise_count(x, out=d)
+        np.minimum(d, near[lo:lo + _BLOCK, None], out=d)
+        total += d.sum(axis=0, dtype=np.uint16, out=col)
+    return total
+
+
 def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
                                seed: int = 0) -> float:
     """Greedy upper bound on the covering distortion, best of restarts.
@@ -150,9 +174,19 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
     candidate pool and the scoring words are seeded subsamples, but the
     reported distortion is always the exact mean over the whole cube for
     the codebook actually built, so the value is a true upper bound.
+
+    A slot scores its sample in blocks of ``_BLOCK`` rows whose column sums
+    are exact in uint16 (``_BLOCK * m < 2**16``); the candidates' integer
+    totals, and so the codebook and the result, are independent of the
+    block size.  R < 0, or ``restarts`` that is not an integer >= 1, is a
+    ``DomainError``.
     """
     if m < 1 or m > 24:
         raise DomainError("greedy variant supports 1 <= m <= 24")
+    if R < 0:
+        raise DomainError(f"need R >= 0, got {R!r}")
+    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise DomainError(f"need an integer restarts >= 1, got {restarts!r}")
     if 2 ** R > 2 ** m:
         raise DomainError("codebook larger than the cube")
     words = np.arange(1 << m, dtype=np.uint32)
@@ -160,7 +194,7 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
     pool_cap, sample_cap = 1024, 1 << 14
     rng = np.random.default_rng(seed)
     best = math.inf
-    for _ in range(int(restarts)):
+    for _ in range(restarts):
         current = np.full(len(words), m, dtype=np.uint8)
         for slot in range(size):
             pool = words if len(words) <= pool_cap else \
@@ -169,11 +203,10 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
                 rng.choice(words, size=sample_cap, replace=False)
             if slot == 0 and len(words) > pool_cap:
                 pool = rng.choice(words, size=1)
-            cand = _popcount_matrix(sample, pool.astype(np.uint32))
-            np.minimum(cand, current[sample][:, None], out=cand)
             # integer sums rank candidates as the means would: exact, and
             # the sample size is the same for every candidate
-            pick = int(pool[int(np.argmin(cand.sum(axis=0, dtype=np.int64)))])
+            sums = _nearest_sums(sample, current[sample], pool)
+            pick = int(pool[int(np.argmin(sums))])
             current = np.minimum(
                 current, np.bitwise_count(np.bitwise_xor(words, np.uint32(pick))))
         best = min(best, float(current.mean()))

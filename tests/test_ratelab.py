@@ -11,6 +11,8 @@ from approxrate.exceptions import (
 )
 from approxrate.nnet import AffineStep, Network, relu_power
 from approxrate.ratelab import (
+    _BLOCK,
+    _nearest_sums,
     covering_distortion_exact,
     covering_distortion_greedy,
     fit_rate,
@@ -138,6 +140,45 @@ def test_greedy_monotone_in_codebook_size():
     d_small = covering_distortion_greedy(8, 1, restarts=4)
     d_large = covering_distortion_greedy(8, 2, restarts=4)
     assert d_large <= d_small + 1e-12
+
+
+@pytest.mark.parametrize("R, restarts", [(-1, 2), (1, 0), (1, -3), (1, 2.5)])
+def test_greedy_refuses_bad_arguments(R, restarts):
+    # R < 0 was an untyped shift-count error; restarts 0 or -3 returned inf,
+    # and 2.5 ran as 2
+    with pytest.raises(DomainError):
+        covering_distortion_greedy(8, R, restarts=restarts)
+
+
+@pytest.mark.parametrize("m, R, seed, expected", [
+    # both subsample caps bind, and slot 0 scores a pool of one word
+    (16, 4, 0, 4.32818603515625),
+    (16, 4, 1, 4.3264312744140625),
+    (16, 4, 2, 4.332489013671875),
+    (16, 4, 3, 4.3195953369140625),
+    # only the pool cap binds
+    (12, 3, 0, 3.3671875),
+    (12, 3, 1, 3.393310546875),
+])
+def test_greedy_outputs_are_pinned(m, R, seed, expected):
+    assert covering_distortion_greedy(m, R, restarts=2, seed=seed) == expected
+
+
+def test_block_scores_equal_the_dense_sums():
+    rng = np.random.default_rng(0)
+    sample = rng.integers(0, 1 << 24, size=3 * _BLOCK + 77, dtype=np.uint32)
+    sample[:2 * _BLOCK] = 0
+    pool = rng.integers(0, 1 << 24, size=300, dtype=np.uint32)
+    pool[:2] = (0, (1 << 24) - 1)
+    # near = m = 24 everywhere, and the word 2^24 - 1 is 24 from each zero row:
+    # the largest block sums uint16 has to hold
+    near = np.full(len(sample), 24, dtype=np.uint8)
+    dense = np.minimum(np.bitwise_count(sample[:, None] ^ pool[None, :]),
+                       near[:, None]).sum(axis=0)
+    got = _nearest_sums(sample, near, pool)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dense)
+    assert np.array_equal(_nearest_sums(sample, near, pool[:1]), dense[:1])
 
 
 def test_greedy_linear_band():
