@@ -308,16 +308,9 @@ def _monomial_net(m, eps, D, spec, L=None, psi_n=None):
 
 
 def _scale_io(net: Network, in_scale, out_scale) -> Network:
-    first = net.steps[0]
-    last = net.steps[-1]
-    new_first = AffineStep(
-        first.in_dim, first.out_dim,
-        tuple((r, c, v * in_scale) for r, c, v in first.edge_weights),
-        first.node_weights)
-    new_last = AffineStep(
-        last.in_dim, last.out_dim,
-        tuple((r, c, v * out_scale) for r, c, v in last.edge_weights),
-        tuple((r, v * out_scale) for r, v in last.node_weights))
+    first, last = net.steps[0], net.steps[-1]
+    new_first = AffineStep.from_dense(first.matrix() * in_scale, first.bias())
+    new_last = AffineStep.from_dense(last.matrix() * out_scale, last.bias() * out_scale)
     return Network((new_first,) + net.steps[1:-1] + (new_last,), net.activation)
 
 
@@ -334,16 +327,10 @@ def _knot_interpolant(values_at, knots, spec) -> Network:
               for (t0, y0), (t1, y1) in zip(zip(knots, ys), zip(knots[1:], ys[1:]))]
     coeffs = [slopes[0]] + [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
     coeffs.append(-slopes[-1])  # flatten beyond the last knot
-    anchors = list(knots)
-    units = [(c, t) for c, t in zip(coeffs, anchors) if c != 0.0]
-    if not units:
-        units = [(0.0, knots[0])]
-    hidden = AffineStep(
-        1, len(units),
-        tuple((r, 0, 1.0) for r in range(len(units))),
-        tuple((r, -t) for r, (_, t) in enumerate(units) if t != 0.0))
-    out = AffineStep(len(units), 1,
-                     tuple((0, r, c) for r, (c, _) in enumerate(units) if c != 0.0))
+    units = [(c, t) for c, t in zip(coeffs, knots) if c != 0.0] or [(0.0, knots[0])]
+    cs, ts = np.array(units).T
+    hidden = AffineStep.from_dense(np.ones((len(units), 1)), -ts)
+    out = AffineStep.from_dense(cs[None, :])
     return Network((hidden, out), spec)
 
 

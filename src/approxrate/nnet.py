@@ -55,42 +55,32 @@ def _number(x):
     raise FormatError(f"expected a number, got {x!r}")
 
 
-def _clean_triples(triples, out_dim, in_dim):
-    """Sort, validate, and drop exact zeros from (row, col, value) triples."""
+def _clean(entries, dims):
+    """Validate, sort and drop exact zeros from ``(*index, value)`` entries.
+
+    ``dims`` holds the range of each index: ``(out_dim, in_dim)`` for the
+    (row, col, value) edges of a step, ``(out_dim,)`` for its (row, value)
+    nodes.  With one or two indices, ``key[0]`` and ``key[-1]`` are all of
+    them.
+    """
     seen = set()
     kept = []
-    for row, col, val in triples:
+    for *key, val in entries:
+        key = tuple(key)
+        if len(key) != len(dims):
+            raise FormatError(f"entry {key} needs {len(dims)} indices and a value")
         # plain ints and floats, as JSON reads them, need no conversion
-        if not (type(row) is type(col) is int and type(val) is float):
-            row, col, val = _index(row), _index(col), _number(val)
-        if not (0 <= row < out_dim and 0 <= col < in_dim):
-            raise InputShapeError(f"edge index ({row},{col}) outside {out_dim}x{in_dim}")
-        if (row, col) in seen:
-            raise FormatError(f"duplicate edge entry ({row},{col})")
-        seen.add((row, col))
+        if not (type(val) is float and type(key[0]) is type(key[-1]) is int):
+            key, val = tuple(map(_index, key)), _number(val)
+        if not (0 <= key[0] < dims[0] and 0 <= key[-1] < dims[-1]):
+            raise InputShapeError(f"index {key} outside {dims}")
+        if key in seen:
+            raise FormatError(f"duplicate entry {key}")
+        seen.add(key)
         if not math.isfinite(val):
-            raise FormatError(f"non-finite edge weight at ({row},{col})")
+            raise FormatError(f"non-finite weight at {key}")
         if val != 0.0:
-            kept.append((row, col, val))
-    kept.sort(key=lambda t: (t[0], t[1]))
-    return tuple(kept)
-
-
-def _clean_pairs(pairs, out_dim):
-    seen = set()
-    kept = []
-    for row, val in pairs:
-        if not (type(row) is int and type(val) is float):
-            row, val = _index(row), _number(val)
-        if not 0 <= row < out_dim:
-            raise InputShapeError(f"node index {row} outside dimension {out_dim}")
-        if row in seen:
-            raise FormatError(f"duplicate node entry {row}")
-        seen.add(row)
-        if not math.isfinite(val):
-            raise FormatError(f"non-finite node weight at {row}")
-        if val != 0.0:
-            kept.append((row, val))
+            kept.append((*key, val))
     kept.sort()
     return tuple(kept)
 
@@ -114,9 +104,9 @@ class AffineStep:
         if self.in_dim < 1 or self.out_dim < 1:
             raise InputShapeError("affine step dimensions must be positive")
         object.__setattr__(self, "edge_weights",
-                           _clean_triples(self.edge_weights, self.out_dim, self.in_dim))
+                           _clean(self.edge_weights, (self.out_dim, self.in_dim)))
         object.__setattr__(self, "node_weights",
-                           _clean_pairs(self.node_weights, self.out_dim))
+                           _clean(self.node_weights, (self.out_dim,)))
 
     @classmethod
     def from_dense(cls, matrix, bias=None):
@@ -124,14 +114,15 @@ class AffineStep:
         if matrix.ndim != 2:
             raise InputShapeError("dense affine matrix must be 2-d")
         out_dim, in_dim = matrix.shape
-        edges = [(r, c, matrix[r, c]) for r in range(out_dim) for c in range(in_dim)
-                 if matrix[r, c] != 0.0]
-        nodes = []
+        rows, cols = np.nonzero(matrix)
+        edges = zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
+        nodes = ()
         if bias is not None:
             bias = np.asarray(bias, dtype=float).reshape(-1)
             if bias.shape != (out_dim,):
                 raise InputShapeError("bias length must equal out_dim")
-            nodes = [(r, bias[r]) for r in range(out_dim) if bias[r] != 0.0]
+            rows = np.flatnonzero(bias)
+            nodes = zip(rows.tolist(), bias[rows].tolist())
         return cls(in_dim, out_dim, tuple(edges), tuple(nodes))
 
     def matrix(self):
@@ -193,13 +184,15 @@ def _sigmoid(x):
 
 def relu_power(k):
     """x -> max(0, x)^k with its canonical constants."""
-    return ActivationSpec("relu_power", int(k), C=float(max(1, k)), a=1.0,
+    k = _index(k)
+    return ActivationSpec("relu_power", k, C=float(max(1, k)), a=1.0,
                           b=float(max(1, k - 1)))
 
 
 def logistic_power(k):
     """x -> x^k * sigmoid(x); order-k sigmoidal, smooth everywhere."""
-    return ActivationSpec("logistic_power", int(k), C=2.0, a=1.0, b=float(k))
+    k = _index(k)
+    return ActivationSpec("logistic_power", k, C=2.0, a=1.0, b=float(k))
 
 
 @dataclass(frozen=True)
@@ -529,8 +522,9 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
     for layer in range(depth):
         blocks = [net.steps[layer] for net in nets]
         last = layer == depth - 1
+        step_out = out_dim if last else sum(blk.out_dim for blk in blocks)
         edges = []
-        bias = {}
+        bias = np.zeros(step_out)
         in_off = 0
         out_off = 0
         for i, blk in enumerate(blocks):
@@ -544,15 +538,12 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
             blk_bias = blk.bias() * scale
             if layer == 0 and shifts[i] != 0.0:
                 blk_bias = blk_bias + scale * (blk.matrix() @ np.full(d, shifts[i]))
-            for r in range(blk.out_dim):
-                if blk_bias[r] != 0.0:
-                    key = row_base + r
-                    bias[key] = bias.get(key, 0.0) + blk_bias[r]
+            bias[row_base:row_base + blk.out_dim] += blk_bias
             in_off += blk.in_dim
             out_off += blk.out_dim
-        step_out = out_dim if last else out_off
+        rows = np.flatnonzero(bias)
         new_steps.append(AffineStep(in_dim, step_out, tuple(edges),
-                                    tuple(bias.items())))
+                                    tuple(zip(rows.tolist(), bias[rows].tolist()))))
         in_dim = step_out
     return Network(tuple(new_steps), base.activation)
 
@@ -569,13 +560,9 @@ def identity_extend(net: Network) -> Network:
     if net.output_dim != 1:
         raise CompositionError("identity extension expects a scalar output")
     last = net.steps[-1]
-    up = AffineStep(last.in_dim, 2 * last.out_dim,
-                    tuple([(r, c, v) for r, c, v in last.edge_weights]
-                          + [(last.out_dim + r, c, -v) for r, c, v in last.edge_weights]),
-                    tuple([(r, v) for r, v in last.node_weights]
-                          + [(last.out_dim + r, -v) for r, v in last.node_weights]))
-    down = AffineStep(2 * last.out_dim, last.out_dim,
-                      ((0, 0, 1.0), (0, 1, -1.0)))
+    a, b = last.matrix(), last.bias()
+    up = AffineStep.from_dense(np.vstack([a, -a]), np.concatenate([b, -b]))
+    down = AffineStep(2, 1, ((0, 0, 1.0), (0, 1, -1.0)))
     return Network(net.steps[:-1] + (up, down), act)
 
 

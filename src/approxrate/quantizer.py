@@ -31,6 +31,12 @@ def _check_eta(eta):
         raise QuantizerError("eta must lie in (0, 1/2]")
 
 
+def _check_grid(eta, k, m):
+    _check_eta(eta)
+    if k < 1 or m < 1:
+        raise QuantizerError("k and m must be >= 1")
+
+
 def _power(eta: float, e: int) -> float:
     """eta^e; past the float range, with the clamp tests' slack 1 + 1e-12,
     a ``QuantizerError`` where ``**`` raises an untyped OverflowError."""
@@ -66,9 +72,7 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
     may round to exactly zero and is then dropped, so connectivity never
     increases.
     """
-    _check_eta(eta)
-    if k < 1 or m < 1:
-        raise QuantizerError("k and m must be >= 1")
+    _check_grid(eta, k, m)
     cap = _power(eta, -k)
     worst = net.max_abs_weight()
     if worst > cap * (1.0 + 1e-12):
@@ -85,8 +89,9 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
 
 
 def bits_per_weight(eta: float, k: int, m: int) -> int:
-    """ceil((k + m) log2(1/eta)) + 1; the extra bit carries the sign."""
-    _check_eta(eta)
+    """ceil((k + m) log2(1/eta)) + 1; the extra bit carries the sign.
+    k < 1 or m < 1 is a ``QuantizerError``."""
+    _check_grid(eta, k, m)
     return int(math.ceil((k + m) * math.log2(1.0 / eta) - 1e-12)) + 1
 
 

@@ -121,11 +121,20 @@ def _popcount_matrix(words, codebook):
     return np.bitwise_count(x)
 
 
+def _check_cube(m, R):
+    """m and R must be ints or numpy integers, bools excluded."""
+    for x in (m, R):
+        if not (type(x) is int or isinstance(x, np.integer)):
+            raise DomainError(f"need integer m and R, got {x!r}")
+
+
 def covering_distortion_exact(m: int, R: int) -> float:
     """Exact min over all 2^R-point codebooks of the mean Hamming distance.
 
     Exhaustive over all C(2^m, 2^R) codebooks; guarded to m <= 4, R <= 3.
+    An m or R that is not an integer is a ``DomainError``.
     """
+    _check_cube(m, R)
     if m < 1 or R < 0:
         raise DomainError("need m >= 1 and R >= 0")
     if 2 ** R > 2 ** m:
@@ -178,9 +187,10 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
     A slot scores its sample in blocks of ``_BLOCK`` rows whose column sums
     are exact in uint16 (``_BLOCK * m < 2**16``); the candidates' integer
     totals, and so the codebook and the result, are independent of the
-    block size.  R < 0, or ``restarts`` that is not an integer >= 1, is a
-    ``DomainError``.
+    block size.  An m or R that is not an integer, R < 0, or ``restarts``
+    that is not an integer >= 1, is a ``DomainError``.
     """
+    _check_cube(m, R)
     if m < 1 or m > 24:
         raise DomainError("greedy variant supports 1 <= m <= 24")
     if R < 0:

@@ -39,6 +39,7 @@ from .exceptions import (
     InputShapeError,
     RangeError,
 )
+from .nnet import _index
 
 __all__ = [
     "DyadicSquare",
@@ -277,7 +278,8 @@ def _pair_gram(frac0, norm: float):
 
 
 def _pixel_scale(n: int) -> int:
-    """J of an n x n pixel grid; n must be a power of two."""
+    """J of an n x n pixel grid; n must be an integer power of two."""
+    n = _index(n)
     if n < 1 or (n & (n - 1)) != 0:
         raise FormatError("n must be a power of two")
     return n.bit_length() - 1
@@ -956,16 +958,17 @@ def _budgets(J: int, K: int, m_cap: int) -> tuple:
     return tuple(m_j for m_j, _, _ in _layout(J, K, m_cap)[3])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 6.0 must not hit the entry of 6
 def _layout(J: int, K: int, m_cap: int):
     """The field widths of a stream with this header.
 
     (scale width, coefficient width, coefficient offset n^2 + 1, splits),
     where splits[j] = (M_j, edgelet index width, pair count) for scales
-    j = 0..J.  A header the stream cannot carry is a ``FormatError``: J
-    outside 0.._MAX_J, K outside a byte, or M_cap not a multiple of 4 in
-    4..65532.
+    j = 0..J.  A header the stream cannot carry is a ``FormatError``: J, K
+    or M_cap not an integer, J outside 0.._MAX_J, K outside a byte, or
+    M_cap not a multiple of 4 in 4..65532.
     """
+    J, K, m_cap = _index(J), _index(K), _index(m_cap)
     if not 0 <= J <= _MAX_J:
         raise FormatError(f"J = {J} outside 0..{_MAX_J}")
     if not 0 <= K <= 0xFF:

@@ -39,6 +39,15 @@ The network fixtures were written at commit 0b257be, D = 4 throughout:
 
 A change to ``build_bspline_net``, the quantizer or the m that ``find_min_m``
 picks fails here.
+
+Two order-1 ReLU fixtures were written at commit e3e33f4, D = 4 again,
+for the steps the knot interpolant and the identity extension build:
+
+- ``bspline_m3_k1.json``: ``network_to_json`` of
+  ``build_bspline_net(3, 2**-6, 4.0, relu_power(1)).network``;
+- ``transfer_k1.json``: ``network_to_json`` of
+  ``transfer_expansion([(1.0, 2), (0.5, 3)], 2**-6, 4.0, relu_power(1))
+  .network``.
 """
 
 import hashlib
@@ -58,7 +67,7 @@ from hypothesis import strategies as st
 from approxrate import wedgelet
 from approxrate.cli import write_raw_array
 from approxrate.cartoon import disc_star, make_hypercube, rasterize, vertex_function
-from approxrate.constructors import build_bspline_net
+from approxrate.constructors import build_bspline_net, transfer_expansion
 from approxrate.exceptions import (
     ApproxRateError,
     CorruptionError,
@@ -121,6 +130,15 @@ def test_bspline_net_matches_golden_json(m, k):
         kq = weight_range_exponent(net, eta)
         qnet = quantize_weights(net, eta, kq, find_min_m(net, eta, kq, 4.0))
         assert network_to_json(qnet) == (GOLDEN / f"{stem}_eta{eta}.json").read_text()
+
+
+@pytest.mark.parametrize("stem, build", [
+    ("bspline_m3_k1", lambda: build_bspline_net(3, 2.0 ** -6, 4.0, relu_power(1))),
+    ("transfer_k1",
+     lambda: transfer_expansion([(1.0, 2), (0.5, 3)], 2.0 ** -6, 4.0, relu_power(1))),
+])
+def test_order_one_relu_nets_match_golden_json(stem, build):
+    assert network_to_json(build().network) == (GOLDEN / f"{stem}.json").read_text()
 
 
 STREAMS = sorted(p.name for p in GOLDEN.glob("*.wdgl"))

@@ -380,6 +380,42 @@ def test_affine_steps_and_activations_refuse_other_types(bad):
         bad()
 
 
+@pytest.mark.parametrize("factory", [relu_power, logistic_power])
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_activation_factories_refuse_a_k_that_is_not_an_integer(factory, k):
+    # relu_power(2.5) gave k = 2 with the C and b of no order, and
+    # logistic_power(2.5) k = 2 with b = 2.5
+    with pytest.raises(FormatError):
+        factory(k)
+
+
+def test_activation_factories_take_numpy_integers():
+    assert relu_power(np.int64(3)) == relu_power(3)
+    assert logistic_power(np.int32(2)) == logistic_power(2)
+
+
+@pytest.mark.parametrize("edges, nodes", [
+    (((0, 0),), ()),
+    (((0, 0, 1.0, 2.0),), ()),
+    ((), ((0,),)),
+    ((), ((0, 0, 1.0),)),
+])
+def test_an_entry_with_the_wrong_number_of_indices_is_refused(edges, nodes):
+    with pytest.raises(FormatError, match="indices and a value"):
+        AffineStep(1, 1, edges, nodes)
+
+
+def test_from_dense_stores_the_nonzero_cells_in_row_major_order():
+    a = np.array([[0.0, -2.5, 0.0], [1.0, -0.0, 3.0]])
+    step = AffineStep.from_dense(a, [0.0, 7.0])
+    assert step.edge_weights == ((0, 1, -2.5), (1, 0, 1.0), (1, 2, 3.0))
+    assert step.node_weights == ((1, 7.0),)
+    assert all(type(v) is float for *_, v in step.edge_weights + step.node_weights)
+    assert np.array_equal(step.matrix(), a) and np.array_equal(step.bias(), [0.0, 7.0])
+    with pytest.raises(FormatError, match="non-finite"):
+        AffineStep.from_dense([[np.nan]])
+
+
 @pytest.mark.parametrize("bad", [
     lambda: AffineStep(1, 1, ((0, 0, 10 ** 400),)),
     lambda: AffineStep(1, 1, (), ((0, -10 ** 400),)),

@@ -87,6 +87,14 @@ def test_bits_per_weight_domain():
         bits_per_weight(0.7, 1, 1)
 
 
+@pytest.mark.parametrize("k, m", [(1, -5), (0, 0), (0, 1), (1, 0), (-2, 4)])
+def test_bits_per_weight_refuses_k_or_m_below_one(k, m):
+    # (0.1, 1, -5) gave -12 bits and (0.5, 0, 0) one bit, where
+    # quantize_weights refuses the same exponents
+    with pytest.raises(QuantizerError, match="k and m must be >= 1"):
+        bits_per_weight(0.1, k, m)
+
+
 def test_storability_exhaustive():
     spec = relu_power(2)
     rep = build_relu(0.05, 1.0, spec)

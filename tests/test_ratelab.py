@@ -150,6 +150,27 @@ def test_greedy_refuses_bad_arguments(R, restarts):
         covering_distortion_greedy(8, R, restarts=restarts)
 
 
+@pytest.mark.parametrize("cover, m, R", [
+    (covering_distortion_greedy, 4.5, 1),
+    (covering_distortion_greedy, 4, 1.5),
+    (covering_distortion_greedy, True, 0),
+    (covering_distortion_greedy, 4, np.float64(1.0)),
+    (covering_distortion_exact, 2.5, 1),
+    (covering_distortion_exact, 4, 1.5),
+    (covering_distortion_exact, 2, False),
+])
+def test_covering_refuses_an_m_or_R_that_is_not_an_integer(cover, m, R):
+    # 4.5 and 1.5 were untyped shift errors; True ran as m = 1
+    with pytest.raises(DomainError, match="integer"):
+        cover(m, R)
+
+
+def test_covering_takes_numpy_integers():
+    assert covering_distortion_exact(np.int64(2), np.int32(1)) == 0.5
+    assert covering_distortion_greedy(np.int64(4), np.int64(2), restarts=8) == \
+        covering_distortion_greedy(4, 2, restarts=8)
+
+
 @pytest.mark.parametrize("m, R, seed, expected", [
     # both subsample caps bind, and slot 0 scores a pool of one word
     (16, 4, 0, 4.32818603515625),

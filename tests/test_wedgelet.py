@@ -219,6 +219,31 @@ def test_partition_scale_of_a_power_of_two():
     assert [EdRdp((), 1 << J, 2, 8).J for J in range(6)] == list(range(6))
 
 
+@pytest.mark.parametrize("header", [
+    (6.0, 6, 32), (6, 6.0, 32), (6, 6, 4.0), (6, 6, 32.0), (True, 6, 32), (6, 6, None),
+])
+def test_a_header_field_that_is_not_an_integer_is_refused(header):
+    # (6.0, 6, 32) and (6, 6, 4.0) were untyped shift and range errors;
+    # 6.0 equals 6, so the header cache must not answer it from 6's entry
+    f = rasterize(disc_star(), 64)
+    encode(f, 6, 6, 32)
+    for run in (lambda: encode(f, *header), lambda: _layout(*header)):
+        with pytest.raises(FormatError, match="expected an integer"):
+            run()
+
+
+def test_numpy_integer_header_fields_give_the_same_stream():
+    f = rasterize(disc_star(), np.int64(64))
+    want = encode(f, 6, 6, 32).to_bytes()
+    assert encode(f, np.int64(6), np.int32(6), np.uint8(32)).to_bytes() == want
+
+
+@pytest.mark.parametrize("n", [16.0, True, np.float64(16.0), "16"])
+def test_rasterize_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(FormatError, match="expected an integer"):
+        rasterize(disc_star(), n)
+
+
 def test_project_refuses_a_nested_square():
     with pytest.raises(CorruptionError):
         project(np.zeros((4, 4)), EdRdp(NESTED, 4, 2, 8))
