@@ -35,6 +35,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _RASTER_CHUNK = 1 << 18  # samples per rasterize step, which bounds its memory
+MAX_SUPERSAMPLE = 64  # samples per pixel side; 4096 samples per pixel at most
 
 
 def _bump(u):
@@ -69,6 +70,39 @@ class RadiusFunction:
             u = m * np.mod(theta - TWO_PI * i / m, TWO_PI)
             out = out + A * m ** (-beta) * _bump(u)
         return out
+
+    def bounds(self):
+        """(lo, hi) with lo <= self(theta) <= hi at every float theta, or None.
+
+        Each petal adds c * bump with c = A m^-beta and the bump in [0, 1],
+        so lo is r0 plus the negative c and hi r0 plus the positive ones.
+        When all petals share one integer m and distinct i mod m, their arcs
+        meet only at endpoints, where the float error of the bump's argument
+        leaves a neighbour below m (|2 pi i / m| + 4 pi) 2^-44; hi is then
+        r0 plus the largest c plus that share of the positive ones, if that
+        is tighter.  Both carry a slack for the rounding of the sum.  None
+        when a bound is not finite (a non-finite r0 or coefficient).
+        """
+        r0 = float(self.r0)
+        cs, phis = [], []
+        for i, m, A, beta in self.petals:  # the expressions __call__ evaluates
+            phis.append(abs(TWO_PI * i / m))
+            cs.append(float(A * m ** (-beta)))
+        slack = 2.0 ** -44 * len(cs) * (abs(r0) + sum(abs(c) for c in cs))
+        lo = r0 + sum(min(c, 0.0) for c in cs) - slack
+        rise = sum(max(c, 0.0) for c in cs)
+        hi = r0 + rise + slack
+        ms = {petal[1] for petal in self.petals}
+        ints = all(type(k) is int or isinstance(k, np.integer)
+                   for petal in self.petals for k in petal[:2])
+        if ints and len(ms) == 1:
+            (m,) = ms
+            if m >= 1 and len({petal[0] % m for petal in self.petals}) == len(cs):
+                edge = 2.0 ** -44 * m * (max(phis) + 2.0 * TWO_PI) * rise
+                hi = min(hi, r0 + max(max(cs), 0.0) + edge + slack)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return None
+        return lo, hi
 
     def derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -110,7 +144,16 @@ class StarFunction:
         return r <= self.radius(theta)
 
 
+def _check_class(beta, C):
+    """The Hoelder class: beta in (1, 2] and a finite radius C > 0."""
+    if not (1.0 < beta <= 2.0):
+        raise DomainError("beta must lie in (1, 2]")
+    if not (0.0 < C < math.inf):
+        raise DomainError("C must be positive and finite")
+
+
 def disc_star(r0=0.25, center=(0.5, 0.5), beta=2.0, holder_C=1.0) -> StarFunction:
+    _check_class(beta, holder_C)
     return StarFunction(tuple(center), disc_radius(r0), float(beta), float(holder_C))
 
 
@@ -151,21 +194,26 @@ def _bump_masses():
 
 def make_hypercube(delta: float, beta: float, C: float) -> HypercubeSpec:
     """Dimension and amplitude for the petal family at side length delta."""
-    if not (1.0 < beta <= 2.0):
-        raise DomainError("beta must lie in (1, 2]")
-    if not (delta > 0 and C > 0):
-        raise DomainError("delta and C must be positive")
+    _check_class(beta, C)
+    if not delta > 0:
+        raise DomainError("delta must be positive")
     r0 = 0.25
     seminorm = petal_generator_seminorm(beta)
     mass1, mass2 = _bump_masses()
-    m = int(math.floor((delta ** 2 / C * seminorm / (r0 * mass1))
-                       ** (-1.0 / (beta + 1.0))))
+    base = delta ** 2 / C * seminorm / (r0 * mass1)
+    if not base > 0.0:
+        raise RangeError("delta^2 / C underflows to 0")
+    m = int(math.floor(base ** (-1.0 / (beta + 1.0))))
     if m < 1:
         raise RangeError("delta too large: no petal fits the height bound")
     # exact per-petal area == delta^2 including the quadratic polar term
     c1 = r0 * mass1 * m ** (-(beta + 1.0))
     c2 = 0.5 * mass2 * m ** (-(2.0 * beta + 1.0))
+    if not c2 > 0.0:
+        raise RangeError("delta^2 / C too small: the petal area equation underflows")
     A = (-c1 + math.sqrt(c1 * c1 + 4.0 * c2 * delta ** 2)) / (2.0 * c2)
+    if not 0.0 < A < math.inf:
+        raise RangeError(f"delta^2 / C too small: the petal amplitude rounds to {A:.4g}")
     height = A * m ** (-beta)
     if height > 0.25:
         raise RangeError(
@@ -274,30 +322,94 @@ def star_membership(f: StarFunction) -> MembershipReport:
 
 def _window_average(f: StarFunction, n: int, s: int, row0, row1, col0, col1,
                     exclude: StarFunction | None = None):
-    """Per-pixel inside fraction over a pixel window, s^2 samples each."""
-    rows = np.arange(row0, row1)
-    cols = np.arange(col0, col1)
+    """Per-pixel inside fraction over a pixel window, s^2 samples each.
+
+    Each pixel is first put in one of three classes by bounds alone: the
+    distances of its samples from the center, rounded outward, against the
+    radius bounds (lo, hi) of ``RadiusFunction.bounds``.  A pixel whose
+    farthest sample lies within lo is all inside (1.0), one whose nearest
+    lies beyond hi all outside (0.0); with ``exclude``, a pixel all inside
+    it is 0.0, and a 1.0 pixel must also lie all outside it.  Only the mixed
+    pixels run the per-sample predicate ``StarFunction.inside``, on the
+    same float sample coordinates, so every pixel equals what sampling all
+    of them gives.  A star with no finite bounds (a non-finite r0,
+    coefficient or center) has every pixel sampled.
+    """
     off = _sample_offsets(s)
-    ys = (rows[:, None] + off[None, :]).reshape(-1) / n  # (R*s,)
-    xs = (cols[:, None] + off[None, :]).reshape(-1) / n  # (C*s,)
-    xg, yg = np.meshgrid(xs, ys)
+    ys = (np.arange(row0, row1)[:, None] + off[None, :]) / n  # (R, s) per pixel row
+    xs = (np.arange(col0, col1)[:, None] + off[None, :]) / n  # (C, s)
+    full, empty = _pixel_classes(f, xs, ys)
+    if exclude is not None:
+        ex_full, ex_empty = _pixel_classes(exclude, xs, ys)
+        full, empty = full & ex_empty, empty | ex_full
+    out = full.astype(float)
+    a, b = np.nonzero(~(full | empty))
+    # contiguous (M, s, s) grids: a strided input may take another numpy
+    # loop, whose transcendentals may round differently
+    xg = np.repeat(xs[b][:, None, :], s, axis=1)
+    yg = np.repeat(ys[a][:, :, None], s, axis=2)
     inside = f.inside(xg, yg)
     if exclude is not None:
         inside = inside & ~exclude.inside(xg, yg)
-    counts = inside.reshape(len(rows), s, len(cols), s).sum(axis=(1, 3))
-    return counts.astype(float) / (s * s)
+    out[a, b] = inside.sum(axis=(1, 2)) / (s * s)
+    return out
+
+
+def _pixel_classes(f: StarFunction, xs, ys):
+    """(all inside, all outside) per pixel, from its samples' reach.
+
+    ``xs`` and ``ys`` hold each pixel column's and row's sample
+    coordinates, in increasing order, so the first and last give the range
+    of each sample's offset from the center.  Both are all False when f
+    has no finite bounds.
+    """
+    dx = xs[:, [0, -1]] - f.center[0]
+    dy = ys[:, [0, -1]] - f.center[1]
+    bounds = f.radius.bounds()
+    if bounds is None or not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        none = np.zeros((len(ys), len(xs)), dtype=bool)
+        return none, none
+    lo, hi = bounds
+    near_x, far_x = _reach(dx)
+    near_y, far_y = _reach(dy)
+    # hypot is within an ulp or two; 2^-46 rounds the range well outward
+    near = np.hypot(near_y[:, None], near_x[None, :]) * (1.0 - 2.0 ** -46)
+    far = np.hypot(far_y[:, None], far_x[None, :]) * (1.0 + 2.0 ** -46)
+    return far <= lo, near > hi
+
+
+def _reach(d):
+    """Least and greatest |offset| per pixel, from its (first, last) offsets."""
+    mag = np.abs(d)
+    near = np.where((d[:, 0] < 0.0) & (d[:, 1] > 0.0), 0.0, mag.min(axis=1))
+    return near, mag.max(axis=1)
+
+
+def _supersample(s) -> int:
+    """Samples per pixel side: an integer in 4..MAX_SUPERSAMPLE, never a bool."""
+    if not (type(s) is int or isinstance(s, np.integer)):
+        raise FormatError(f"supersample must be an integer, got {s!r}")
+    if s < 4:
+        raise FormatError("supersample must be >= 4")
+    if s > MAX_SUPERSAMPLE:
+        raise FormatError(f"supersample must be <= {MAX_SUPERSAMPLE}")
+    return int(s)
 
 
 def rasterize(f: StarFunction, n: int, supersample: int = 4) -> np.ndarray:
     """n x n array of per-pixel inside fractions (stratified s^2 samples).
 
     The sample points are a deterministic centered sub-grid, so repeated
-    runs are bit-identical.
+    runs are bit-identical.  ``supersample`` (s) is an integer in
+    4..MAX_SUPERSAMPLE; anything else is a ``FormatError``.  Only the
+    pixels the radius bounds cannot decide are sampled (see
+    ``_window_average``), so the cost grows with the n * (hi - lo) pixels
+    of the band between the bounds times s^2 (the n pixels along the edge
+    for a disc) and with the n^2 pixels' cheap classing, not with n^2 s^2
+    samples times the petals.
     """
     _pixel_scale(n)  # refuses an n that is not a power of two
-    s = int(supersample)
-    if s < 4:
-        raise FormatError("supersample must be >= 4")
+    s = _supersample(supersample)
     out = np.zeros((n, n))
     chunk = max(1, _RASTER_CHUNK // (n * s * s))
     for row0 in range(0, n, chunk):
@@ -314,6 +426,7 @@ def petal_window(spec: HypercubeSpec, i: int, n: int, supersample: int = 4):
     """
     if not 1 <= i <= spec.m:
         raise InputShapeError(f"petal index must lie in 1..{spec.m}")
+    s = _supersample(supersample)
     vertex = vertex_function(spec, [1 if j == i - 1 else 0 for j in range(spec.m)])
     cx, cy = spec.f0.center
     r_in = spec.f0.radius.r0
@@ -328,6 +441,6 @@ def petal_window(spec: HypercubeSpec, i: int, n: int, supersample: int = 4):
     col1 = min(n, int(math.ceil((xs.max() + pad) * n)))
     row0 = max(0, int((ys.min() - pad) * n))
     row1 = min(n, int(math.ceil((ys.max() + pad) * n)))
-    arr = _window_average(vertex, n, int(supersample), row0, row1, col0, col1,
+    arr = _window_average(vertex, n, s, row0, row1, col0, col1,
                           exclude=spec.f0)
     return arr, row0, col0

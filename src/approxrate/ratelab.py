@@ -98,7 +98,11 @@ class RateReport:
 
 
 def fit_rate(samples) -> RateReport:
-    """OLS on (log size, log error): the fitted slope and its R^2."""
+    """OLS on (log size, log error): the fitted slope and its R^2.
+
+    Fewer than 3 samples, sizes not strictly increasing, or a size or
+    error that is not finite and positive is a ``DomainError``.
+    """
     samples = [(float(s), float(e)) for s, e in samples]
     if len(samples) < 3:
         raise DomainError("need at least 3 samples to fit a rate")
@@ -106,6 +110,8 @@ def fit_rate(samples) -> RateReport:
     errors = np.array([e for _, e in samples])
     if np.any(sizes[1:] <= sizes[:-1]):
         raise DomainError("sizes must be strictly increasing")
+    if not (np.isfinite(sizes).all() and np.isfinite(errors).all()):
+        raise DomainError("sizes and errors must be finite")
     if np.any(errors <= 0.0) or np.any(sizes <= 0.0):
         raise DomainError("sizes and errors must be positive")
     lx, ly = np.log(sizes), np.log(errors)

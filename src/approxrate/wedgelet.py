@@ -698,14 +698,22 @@ def _split_winners(blocks, sums, sumsq, masks: _Masks, norm: float):
     ``blocks`` is (squares, size^2).  v0, in norm units, comes from one
     BLAS product for dense masks, else from row prefix sums over the runs
     plus the other pixels' counted terms.  Squares go in chunks so that no
-    temporary is much larger than ``_CHUNK`` elements.  Ties go to the
-    smaller local index.
+    temporary is much larger than ``_CHUNK`` elements, and every chunk
+    works in one block taken once per call.  Ties go to the smaller local
+    index.
+
+    The one block keeps a warm process from faulting pages in on every
+    call: glibc gives freed memory at the top of its heap back to the
+    system once it exceeds twice the largest block freed so far, which a
+    few chunk-sized temporaries per chunk did (about 2 300 page faults per
+    n = 128 target encode, unless something larger had been freed before).
     """
     nsq = blocks.shape[0]
     size = masks.size
     n_edge = masks.local.size
     # norm is a power of two, so these equal _pair_gram(frac0, norm)
     g00, g01, g11 = masks.g00 * norm, masks.g01 * norm, masks.g11 * norm
+    two_g01 = 2.0 * g01
     det = masks.det * (norm * norm)
     if masks.dense is None:
         offsets = np.arange(size) * (size + 1)
@@ -714,29 +722,55 @@ def _split_winners(blocks, sums, sumsq, masks: _Masks, norm: float):
         pix = masks.st_pix.astype(np.intp)
         starts = masks.st_start[:-1]
         width = max(n_edge * size, pix.size, size * (size + 1))
+        wide = 3  # prefix sums, two run gathers (the second reused for counts)
     else:
         dense = masks.dense / _SAMPLES  # exact: the side-0 fractions
         width = max(n_edge, size * size)
+        wide = 0
     chunk = max(1, _CHUNK // width)
+    work = np.empty(min(chunk, nsq) * (4 * n_edge + wide * width))
     best = np.empty(nsq)
     best_pos = np.empty(nsq, dtype=np.int64)
     best_v0 = np.empty(nsq)
     for s0 in range(0, nsq, chunk):
         blk = blocks[s0:s0 + chunk]
+        b = blk.shape[0]
+        at = np.cumsum([0] + [b * n_edge] * 4 + [b * width] * wide)
+        v0, v1, quad, tmp, *big = (work[i:k] for i, k in zip(at, at[1:]))
+        v0, v1, quad, tmp = (a.reshape(b, n_edge) for a in (v0, v1, quad, tmp))
         if masks.dense is None:
-            prefix = np.zeros((blk.shape[0], size, size + 1))
+            prefix = big[0][:b * size * (size + 1)].reshape(b, size, size + 1)
+            prefix[:, :, 0] = 0.0
             np.cumsum(blk.reshape(-1, size, size), axis=2, out=prefix[:, :, 1:])
-            prefix = prefix.reshape(blk.shape[0], -1)
-            runs = np.take(prefix, hi, axis=1) - np.take(prefix, lo, axis=1)
-            v0 = runs.reshape(-1, n_edge, size).sum(axis=2)
-            counted = np.take(blk, pix, axis=1) * masks.st_count
-            v0 += np.add.reduceat(counted, starts, axis=1) / _SAMPLES
+            prefix = prefix.reshape(b, -1)
+            # indices are in range by construction; "clip" takes no buffer
+            runs = big[1][:b * n_edge * size].reshape(b, -1)
+            other = big[2][:b * n_edge * size].reshape(b, -1)
+            np.take(prefix, hi, axis=1, out=runs, mode="clip")
+            np.take(prefix, lo, axis=1, out=other, mode="clip")
+            np.subtract(runs, other, out=runs)
+            np.sum(runs.reshape(b, n_edge, size), axis=2, out=v0)
+            counted = big[2][:b * pix.size].reshape(b, -1)
+            np.take(blk, pix, axis=1, out=counted, mode="clip")
+            counted *= masks.st_count
+            np.add.reduceat(counted, starts, axis=1, out=tmp)
+            tmp /= _SAMPLES
+            v0 += tmp
         else:
-            v0 = blk @ dense
+            np.matmul(blk, dense, out=v0)
         v0 *= norm
-        v1 = sums[s0:s0 + chunk, None] * norm - v0
-        quad = (g11 * v0 * v0 - 2.0 * g01 * v0 * v1 + g00 * v1 * v1) / det
-        sse = sumsq[s0:s0 + chunk, None] * norm - quad
+        np.subtract(sums[s0:s0 + chunk, None] * norm, v0, out=v1)
+        # quad = (g11 v0 v0 - 2 g01 v0 v1 + g00 v1 v1) / det, in that order
+        np.multiply(g11, v0, out=quad)
+        quad *= v0
+        np.multiply(two_g01, v0, out=tmp)
+        tmp *= v1
+        quad -= tmp
+        np.multiply(g00, v1, out=tmp)
+        tmp *= v1
+        quad += tmp
+        quad /= det
+        sse = np.subtract(sumsq[s0:s0 + chunk, None] * norm, quad, out=quad)
         arg = np.argmin(sse, axis=1)
         rows = np.arange(arg.size)
         best[s0:s0 + chunk] = sse[rows, arg]

@@ -172,3 +172,27 @@ def test_rasterize_in_steps_equals_one_whole_image_pass(image):
     n = 256
     whole = _window_average(star, n, 4, 0, n, 0, n)
     assert np.array_equal(rasterize(star, n, 4), whole)
+
+
+@pytest.mark.parametrize("delta, C, error", [
+    (1e-300, 1.0, RangeError),      # delta^2 underflows to 0
+    (1e-30, 1.0, RangeError),       # the amplitude cancels to 0
+    (1e-100, 1.0, RangeError),      # the area equation underflows
+    (2.0 ** -5, 1e300, RangeError),
+    (2.0 ** -5, float("inf"), DomainError),
+    (2.0 ** -5, float("nan"), DomainError),
+    (2.0 ** -5, 0.0, DomainError),
+    (float("nan"), 1.0, DomainError),
+])
+def test_make_hypercube_refuses_scales_its_float_math_cannot_take(delta, C, error):
+    with pytest.raises(error):
+        make_hypercube(delta, 2.0, C)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"beta": float("nan")}, {"beta": 1.0}, {"beta": 2.5},
+    {"holder_C": float("inf")}, {"holder_C": float("nan")}, {"holder_C": 0.0},
+])
+def test_disc_star_refuses_a_class_outside_its_domain(kwargs):
+    with pytest.raises(DomainError):
+        disc_star(**kwargs)

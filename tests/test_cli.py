@@ -434,3 +434,17 @@ def test_a_knob_out_of_its_domain_exits_1_and_writes_nothing(
     assert run(argv + ["--out", "out"]) == 1
     assert capsys.readouterr().err.startswith(f"{error}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "x.raw"]
+
+
+@pytest.mark.parametrize("knobs, error", [
+    (["--kind", "petals", "--delta", "1e-300"], "RangeError"),
+    (["--kind", "petals", "--C", "inf"], "DomainError"),
+    (["--kind", "disc", "--beta", "nan"], "DomainError"),
+    (["--kind", "disc", "--C", "inf"], "DomainError"),
+    (["--kind", "disc", "--supersample", "65"], "FormatError"),
+])
+def test_star_outside_its_domain_exits_1(tmp_path, capsys, knobs, error):
+    rc = run(["star", *knobs, "--n", "16", "--out", "raw", "--path", str(tmp_path / "x.raw")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"{error}:")
+    assert not (tmp_path / "x.raw").exists()

@@ -229,3 +229,15 @@ def test_empirical_minimax_disc_halving_ratio():
     l1 = fewest_bits(0.014)
     l2 = fewest_bits(0.007)
     assert 1.3 <= l2 / l1 <= 4.0
+
+
+@pytest.mark.parametrize("samples", [
+    [(1, 0.5), (2, float("nan")), (4, 0.1)],
+    [(1, 0.5), (2, 0.25), (float("inf"), 0.1)],
+    [(1, 0.5), (2, 0.25), (4, float("inf"))],
+    [(1, float("nan")), (2, 0.25), (4, 0.1)],
+    [(float("nan"), 0.5), (2, 0.25), (4, 0.1)],
+], ids=["nan error", "inf size", "inf error", "nan first error", "nan size"])
+def test_fit_rate_refuses_a_sample_that_is_not_finite(samples):
+    with pytest.raises(DomainError, match="finite"):
+        fit_rate(samples)
