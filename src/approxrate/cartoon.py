@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, FormatError, InputShapeError, RangeError
+from .exceptions import (
+    DomainError,
+    FormatError,
+    InputShapeError,
+    RangeError,
+    instance,
+    integer,
+    real,
+    sequence,
+)
 from .ratelab import _simpson_weights
 from .wedgelet import _pixel_scale, _sample_offsets
 
@@ -36,6 +45,12 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _RASTER_CHUNK = 1 << 18  # samples per rasterize step, which bounds its memory
 MAX_SUPERSAMPLE = 64  # samples per pixel side; 4096 samples per pixel at most
+# Most petals: at m = 4096 a petal's arc on the r0 = 1/4 disc is narrower
+# than a pixel of the finest grid rasterize draws (n = 4096), and the radius
+# loops over its petals in Python
+MAX_PETALS = 4096
+# Most grid angles of holder_seminorm, per petal
+_MAX_ANGLES = 1 << 16
 
 
 def _bump(u):
@@ -62,6 +77,15 @@ class RadiusFunction:
 
     r0: float
     petals: tuple = ()  # of (i, m, A, beta)
+
+    def __post_init__(self):
+        # r0, A and beta may be any numbers: bounds() handles non-finite ones
+        petals = sequence(self.petals, DomainError, "petals")
+        for petal in petals:
+            i, m, _, _ = sequence(petal, DomainError, "petal")
+            integer(i, None, None, DomainError, "petal index i")
+            integer(m, 1, MAX_PETALS, DomainError, "petal count m")
+        object.__setattr__(self, "petals", petals)
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -136,6 +160,11 @@ class StarFunction:
     beta: float
     holder_C: float
 
+    def __post_init__(self):
+        instance(self.radius, RadiusFunction, DomainError, "radius")
+        if len(sequence(self.center, DomainError, "center")) != 2:
+            raise DomainError("a center has two coordinates")
+
     def inside(self, x, y):
         dx = np.asarray(x, dtype=float) - self.center[0]
         dy = np.asarray(y, dtype=float) - self.center[1]
@@ -144,16 +173,12 @@ class StarFunction:
         return r <= self.radius(theta)
 
 
-def _check_class(beta, C):
-    """The Hoelder class: beta in (1, 2] and a finite radius C > 0."""
-    if not (1.0 < beta <= 2.0):
-        raise DomainError("beta must lie in (1, 2]")
-    if not (0.0 < C < math.inf):
-        raise DomainError("C must be positive and finite")
-
-
 def disc_star(r0=0.25, center=(0.5, 0.5), beta=2.0, holder_C=1.0) -> StarFunction:
-    _check_class(beta, holder_C)
+    """The disc of radius r0; beta in (1, 2] and a finite holder_C > 0
+    (``DomainError``)."""
+    beta = real(beta, 1.0, 2.0, DomainError, "beta", open_lo=True)
+    holder_C = real(holder_C, 0.0, math.inf, DomainError, "C", open_lo=True)
+    r0 = real(r0, 0.0, math.inf, DomainError, "r0", open_lo=True)
     return StarFunction(tuple(center), disc_radius(r0), float(beta), float(holder_C))
 
 
@@ -174,10 +199,19 @@ class HypercubeSpec:
     holder_C: float
     beta: float
 
+    def __post_init__(self):
+        real(self.delta, 0.0, 1.0, DomainError, "delta", open_lo=True)
+        integer(self.m, 1, MAX_PETALS, (DomainError, RangeError), "petal count m")
+        real(self.A, 0.0, math.inf, DomainError, "amplitude A", open_lo=True)
+        instance(self.f0, StarFunction, DomainError, "f0")
+        real(self.holder_C, 0.0, math.inf, DomainError, "C", open_lo=True)
+        real(self.beta, 1.0, 2.0, DomainError, "beta", open_lo=True)
+
 
 def petal_generator_seminorm(beta: float) -> float:
     """Measured Hoelder-beta seminorm of the bump sin(theta/2) on [0, 2pi],
-    on a 4096-point grid."""
+    on a 4096-point grid; beta in (1, 2] (``DomainError``)."""
+    beta = real(beta, 1.0, 2.0, DomainError, "beta", open_lo=True)
     gen = RadiusFunction(1.0, ((1, 1, 1.0, beta),))
     return holder_seminorm(gen, beta, 4096)
 
@@ -193,10 +227,15 @@ def _bump_masses():
 
 
 def make_hypercube(delta: float, beta: float, C: float) -> HypercubeSpec:
-    """Dimension and amplitude for the petal family at side length delta."""
-    _check_class(beta, C)
-    if not delta > 0:
-        raise DomainError("delta must be positive")
+    """Dimension and amplitude for the petal family at side length delta.
+
+    beta in (1, 2], C finite and > 0 and delta in (0, 1] (``DomainError``);
+    a delta so large that no petal fits, or so small that the petal count m
+    exceeds MAX_PETALS or the area equation underflows, is a ``RangeError``.
+    """
+    beta = real(beta, 1.0, 2.0, DomainError, "beta", open_lo=True)
+    C = real(C, 0.0, math.inf, DomainError, "C", open_lo=True)
+    delta = real(delta, 0.0, 1.0, DomainError, "delta", open_lo=True)
     r0 = 0.25
     seminorm = petal_generator_seminorm(beta)
     mass1, mass2 = _bump_masses()
@@ -206,6 +245,7 @@ def make_hypercube(delta: float, beta: float, C: float) -> HypercubeSpec:
     m = int(math.floor(base ** (-1.0 / (beta + 1.0))))
     if m < 1:
         raise RangeError("delta too large: no petal fits the height bound")
+    integer(m, 1, MAX_PETALS, RangeError, "petal count m (delta too small)")
     # exact per-petal area == delta^2 including the quadratic polar term
     c1 = r0 * mass1 * m ** (-(beta + 1.0))
     c2 = 0.5 * mass2 * m ** (-(2.0 * beta + 1.0))
@@ -224,7 +264,8 @@ def make_hypercube(delta: float, beta: float, C: float) -> HypercubeSpec:
 
 def vertex_function(spec: HypercubeSpec, xi) -> StarFunction:
     """Hypercube vertex: the disc plus the petals selected by the bits."""
-    xi = list(xi)
+    instance(spec, HypercubeSpec, InputShapeError, "spec")
+    xi = sequence(xi, InputShapeError, "xi")
     if len(xi) != spec.m:
         raise InputShapeError(f"xi must have length {spec.m}")
     petals = tuple((i + 1, spec.m, spec.A, spec.beta)
@@ -262,8 +303,11 @@ def holder_seminorm(radius: RadiusFunction, beta: float, grid: int = 2048) -> fl
     fine-gap pairs stay inside one bump (where the analytic derivative is
     smooth); pairs across bump boundaries are probed at gaps no smaller
     than one petal arc, the structural resolution of the function.
+    beta in (1, 2] and grid an integer in 1..2^16 (``DomainError``).
     """
-    grid = int(grid)
+    instance(radius, RadiusFunction, DomainError, "radius")
+    beta = real(beta, 1.0, 2.0, DomainError, "beta", open_lo=True)
+    grid = integer(grid, 1, _MAX_ANGLES, DomainError, "grid")
     best = 0.0
     min_arc = TWO_PI
     for _i, m, A, beta_p in radius.petals:
@@ -309,6 +353,7 @@ class MembershipReport:
 def star_membership(f: StarFunction) -> MembershipReport:
     """Re-check the class constraints numerically instead of trusting them,
     on 4096 angles plus 64 across each petal."""
+    instance(f, StarFunction, DomainError, "f")
     thetas = _dense_thetas(f.radius, 4096)
     rho = f.radius(thetas)
     x = f.center[0] + rho * np.cos(thetas)
@@ -385,17 +430,6 @@ def _reach(d):
     return near, mag.max(axis=1)
 
 
-def _supersample(s) -> int:
-    """Samples per pixel side: an integer in 4..MAX_SUPERSAMPLE, never a bool."""
-    if not (type(s) is int or isinstance(s, np.integer)):
-        raise FormatError(f"supersample must be an integer, got {s!r}")
-    if s < 4:
-        raise FormatError("supersample must be >= 4")
-    if s > MAX_SUPERSAMPLE:
-        raise FormatError(f"supersample must be <= {MAX_SUPERSAMPLE}")
-    return int(s)
-
-
 def rasterize(f: StarFunction, n: int, supersample: int = 4) -> np.ndarray:
     """n x n array of per-pixel inside fractions (stratified s^2 samples).
 
@@ -408,8 +442,9 @@ def rasterize(f: StarFunction, n: int, supersample: int = 4) -> np.ndarray:
     for a disc) and with the n^2 pixels' cheap classing, not with n^2 s^2
     samples times the petals.
     """
-    _pixel_scale(n)  # refuses an n that is not a power of two
-    s = _supersample(supersample)
+    instance(f, StarFunction, DomainError, "f")
+    _pixel_scale(n)  # refuses an n that is not a power of two up to 4096
+    s = integer(supersample, 4, MAX_SUPERSAMPLE, FormatError, "supersample")
     out = np.zeros((n, n))
     chunk = max(1, _RASTER_CHUNK // (n * s * s))
     for row0 in range(0, n, chunk):
@@ -424,9 +459,10 @@ def petal_window(spec: HypercubeSpec, i: int, n: int, supersample: int = 4):
     The mask is the inside-fraction of the single-petal region (vertex
     minus disc) computed petal-exactly from the polar predicate.
     """
-    if not 1 <= i <= spec.m:
-        raise InputShapeError(f"petal index must lie in 1..{spec.m}")
-    s = _supersample(supersample)
+    instance(spec, HypercubeSpec, InputShapeError, "spec")
+    i = integer(i, 1, spec.m, InputShapeError, "petal index")
+    _pixel_scale(n)
+    s = integer(supersample, 4, MAX_SUPERSAMPLE, FormatError, "supersample")
     vertex = vertex_function(spec, [1 if j == i - 1 else 0 for j in range(spec.m)])
     cx, cy = spec.f0.center
     r_in = spec.f0.radius.r0

@@ -17,7 +17,16 @@ from math import comb, factorial
 import numpy as np
 
 from . import ratelab
-from .exceptions import BuilderError, ConditioningError, PrecisionError
+from .exceptions import (
+    BuilderError,
+    ConditioningError,
+    PrecisionError,
+    instance,
+    integer,
+    real,
+    sequence,
+)
+from .nnet import MAX_ORDER as NET_MAX_ORDER
 from .nnet import (
     ActivationSpec,
     AffineStep,
@@ -27,7 +36,7 @@ from .nnet import (
     parallel_compose,
     serial_compose,
 )
-from .splines import bspline_closed
+from .splines import MAX_ORDER, bspline_closed
 
 __all__ = [
     "BuildReport",
@@ -43,6 +52,15 @@ __all__ = [
 ]
 
 _TINY = 1e-290
+# Largest depth L: the chains recurse once per level and reach x^(k^L)
+MAX_DEPTH = 16
+# Largest domain half-width D: the knot interpolants of order-1 nets take
+# a number of knots that grows with D^((m-1)/2)
+MAX_HALF_WIDTH = 2.0 ** 20
+# Most knots of an interpolant
+_MAX_KNOTS = 1 << 16
+# Most shifts N of the x_+ approximant, whose breakpoints mu / N stay exact
+_MAX_SHIFTS = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,14 @@ class BuildReport:
     internal_constants: tuple = ()
 
     def __post_init__(self):
+        instance(self.network, Network, BuilderError, "network")
+        integer(self.claimed_depth, 2, None, BuilderError, "claimed depth")
+        integer(self.claimed_connectivity_bound, 0, None, BuilderError,
+                "claimed connectivity bound")
+        real(self.epsilon, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+        real(self.domain_half_width, 0.0, MAX_HALF_WIDTH, BuilderError,
+             "domain half-width D", open_lo=True)
+        constants = sequence(self.internal_constants, BuilderError, "internal constants")
         if self.network.depth != self.claimed_depth:
             raise BuilderError(
                 f"depth {self.network.depth} != claimed {self.claimed_depth}")
@@ -65,9 +91,8 @@ class BuildReport:
             raise BuilderError(
                 f"connectivity {got} exceeds claimed bound "
                 f"{self.claimed_connectivity_bound}")
-        for name, value in self.internal_constants:
-            if not (math.isfinite(value) and value > 0):
-                raise BuilderError(f"internal constant {name} = {value} invalid")
+        for name, value in constants:
+            real(value, 0.0, math.inf, BuilderError, f"internal constant {name}", open_lo=True)
 
 
 def _chain_net(weights, spec):
@@ -125,6 +150,8 @@ def _scaled_chain(L, eps, D, spec):
     """Chain for x_+^(k^L) on [-D, D]: D^(k^L) * unit(x / D)."""
     p = spec.k ** L
     eps_unit = eps * D ** (-p)
+    if eps_unit < _TINY:  # D^p would then overflow below
+        raise PrecisionError("accuracy scaled to the unit domain underflowed")
     weights = _plus_power_unit_weights(L, eps_unit, spec)
     weights = [weights[0] / D] + weights[1:-1] + [weights[-1] * D ** p]
     return weights
@@ -137,9 +164,10 @@ def build_p1(eps, D, spec: ActivationSpec) -> BuildReport:
 
 def build_plus_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-(L+1) chain matching x_+^(k^L) on [-D, D] within eps."""
-    _check_eps_and_D(eps, D)
-    if L < 1:
-        raise BuilderError("L must be >= 1")
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
+    L = integer(L, 1, MAX_DEPTH, BuilderError, "L")
     D_eff = max(float(D), 1.0)
     weights = _scaled_chain(L, eps, D_eff, spec)
     net = _chain_net(weights, spec)
@@ -161,9 +189,10 @@ def _power_net(L, eps, D, spec, one_sided=False):
 
 def build_power(L, eps, D, spec: ActivationSpec) -> BuildReport:
     """Mirrored pair matching x^(k^L) on [-D, D] within eps."""
-    _check_eps_and_D(eps, D)
-    if L < 1:
-        raise BuilderError("L must be >= 1")
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
+    L = integer(L, 1, MAX_DEPTH, BuilderError, "L")
     D_eff = max(float(D), 1.0)
     net = _power_net(L, eps, D_eff, spec)
     delta, B = _p11_params(eps / 2.0 * D_eff ** (-spec.k ** L), spec)
@@ -206,18 +235,20 @@ def _shift_weights(K, d):
 
 
 def vandermonde_alpha(k: int) -> np.ndarray:
-    """Coefficients alpha with sum_mu alpha_mu (x + mu)^k = x identically."""
-    if k < 1:
-        raise BuilderError("k must be >= 1")
-    if k > 12:
-        raise ConditioningError("vandermonde_alpha guarded to k <= 12")
+    """Coefficients alpha with sum_mu alpha_mu (x + mu)^k = x identically;
+    k is an integer in 1..12 (``BuilderError``, and ``ConditioningError``
+    above 12)."""
+    k = integer(k, 1, None, BuilderError, "k")
+    integer(k, 1, 12, ConditioningError, "k of vandermonde_alpha")
     return _shift_weights(k, 1)
 
 
 def min_power_depth(m: int, k: int) -> int:
-    """Smallest L >= 1 with m - 1 <= k^L, or raise if none exists."""
-    if m < 2:
-        raise BuilderError("m must be >= 2")
+    """Smallest L >= 1 with m - 1 <= k^L, or raise if none exists; m is an
+    integer in 2..MAX_ORDER and k one in 1..MAX_ORDER of ``nnet``
+    (``BuilderError``)."""
+    m = integer(m, 2, MAX_ORDER, BuilderError, "m")
+    k = integer(k, 1, NET_MAX_ORDER, BuilderError, "k")
     if k == 1:
         if m > 2:
             raise BuilderError(
@@ -230,8 +261,11 @@ def min_power_depth(m: int, k: int) -> int:
 
 
 def vandermonde_a(m: int, k: int, L: int | None = None) -> np.ndarray:
-    """Coefficients a with sum_i a_i (x + i)^(k^L) = x^(m-1) identically."""
-    L = min_power_depth(m, k) if L is None else int(L)
+    """Coefficients a with sum_i a_i (x + i)^(k^L) = x^(m-1) identically;
+    m, k as ``min_power_depth`` takes them, L None or an integer in
+    1..MAX_DEPTH (``BuilderError``), and k^L at most 16
+    (``ConditioningError``)."""
+    L = min_power_depth(m, k) if L is None else integer(L, 1, MAX_DEPTH, BuilderError, "L")
     K = k ** L
     if K < m - 1:
         raise BuilderError(f"k^L = {K} cannot reach degree {m - 1}")
@@ -255,14 +289,20 @@ def _relu_parts(eps, D, spec, n_override=None):
     alpha = vandermonde_alpha(spec.k)
     s_alpha = float(np.sum(np.abs(alpha)))
     k = spec.k
-    N = max(int(math.ceil(2.0 * k ** k * s_alpha / eps)), k)
-    if n_override is not None:
+    if n_override is None:
+        N = max(int(math.ceil(real(2.0 * k ** k * s_alpha / eps, 0.0, _MAX_SHIFTS,
+                                   PrecisionError, "shift count N"))), k)
+    else:
         N = max(int(n_override), k)
+    if (k - 1) * math.log2(N) > 1000:  # N^(k-1) would leave the float range
+        raise PrecisionError("shift grid accuracy underflowed; use a larger eps")
     eta = eps / (2.0 * N ** (k - 1) * s_alpha)
     if eta < _TINY:
         raise PrecisionError("shift grid accuracy underflowed; use a larger eps")
     D_in = D + 1.0
     eps_unit = eta * D_in ** (-k)
+    if eps_unit < _TINY:  # D_in^k would then overflow below
+        raise PrecisionError("accuracy scaled to the unit domain underflowed")
     w_in, w_out, delta, B = _p11_weights(eps_unit, spec)
     subnet = [w_in / D_in, w_out * D_in ** k]
     coeffs = [N ** (k - 1) * a for a in alpha]
@@ -273,7 +313,9 @@ def _relu_parts(eps, D, spec, n_override=None):
 
 def build_relu(eps, D, spec: ActivationSpec) -> BuildReport:
     """Depth-2 net matching x_+ on [-D, D] within eps."""
-    _check_eps_and_D(eps, D)
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
     D_eff = max(float(D), 1.0)
     subnet, coeffs, shifts, consts = _relu_parts(eps, D_eff, spec)
     nets = [_chain_net(subnet, spec) for _ in coeffs]
@@ -284,7 +326,7 @@ def build_relu(eps, D, spec: ActivationSpec) -> BuildReport:
 def _monomial_net(m, eps, D, spec, L=None, psi_n=None):
     """Net for x_+^(m-1) on [-D, D] (k >= 2 route, or k = 1 with m = 2)."""
     k = spec.k
-    L = min_power_depth(m, k) if L is None else int(L)
+    L = min_power_depth(m, k) if L is None else L
     K = k ** L
     a = vandermonde_a(m, k, L)
     s_a = float(np.sum(np.abs(a)))
@@ -336,9 +378,11 @@ def _knot_interpolant(values_at, knots, spec) -> Network:
 
 def build_plus_monomial(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     """Net matching x_+^(m-1) on [-D, D] within eps (sup norm)."""
-    _check_eps_and_D(eps, D)
-    if m < 2:
-        raise BuilderError("m must be >= 2")
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
+    m = integer(m, 2, MAX_ORDER, BuilderError, "m")
+    L = None if L is None else integer(L, 1, MAX_DEPTH, BuilderError, "L")
     D_eff = max(float(D), 1.0)
     if spec.kind == "relu_power" and spec.k == 1 and m > 2:
         return _monomial_fallback(m, eps, D_eff, float(D), spec)
@@ -352,7 +396,9 @@ def _interp_knot_count(curvature_bound, width, eps_sup):
     if curvature_bound <= 0:
         return 2
     h = math.sqrt(8.0 * eps_sup / curvature_bound)
-    return max(2, int(math.ceil(width / h)) + 1)
+    steps = real(width / h if h > 0.0 else math.inf, 0.0, _MAX_KNOTS, PrecisionError,
+                 "knot count of the interpolant")
+    return max(2, int(math.ceil(steps)) + 1)
 
 
 def _monomial_fallback(m, eps, D_eff, D_req, spec):
@@ -384,7 +430,9 @@ def _bspline_fallback(m, eps, D_req, spec):
 
 
 def bspline_coefficients(m: int) -> list:
-    """Signed, normalized binomial weights of the truncated-power expansion."""
+    """Signed, normalized binomial weights of the truncated-power expansion;
+    m is an integer in 1..MAX_ORDER (``BuilderError``)."""
+    m = integer(m, 1, MAX_ORDER, BuilderError, "m")
     fact = factorial(m - 1)
     return [float(Fraction((-1) ** j * comb(m, j), fact)) for j in range(m + 1)]
 
@@ -405,17 +453,18 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
     sums that cancel around N^(k-1) amplify their rounding, so the L2
     claim can miss at small eps.
     """
-    _check_eps_and_D(eps, D)
-    if m < 2:
-        raise BuilderError("m must be >= 2")
-    D = float(D)
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
+    m = integer(m, 2, MAX_ORDER, BuilderError, "m")
+    L = None if L is None else integer(L, 1, MAX_DEPTH, BuilderError, "L")
     if spec.kind == "relu_power" and spec.k == 1 and m > 2:
         return _bspline_fallback(m, eps, D, spec)
     b = bspline_coefficients(m)
     s_b = sum(abs(v) for v in b)  # = 2^m / (m-1)!
     eta = eps / (math.sqrt(2.0 * D) * s_b)
     k = spec.k
-    L = min_power_depth(m, k) if L is None else int(L)
+    L = min_power_depth(m, k) if L is None else L
     K = k ** L
     psi_n = None
     D_copy = D + m
@@ -427,7 +476,8 @@ def build_bspline_net(m, eps, D, spec: ActivationSpec, L=None) -> BuildReport:
         s_alpha = float(np.sum(np.abs(alpha)))
         amplify = s_b * D_copy ** (m - 1) * s_a * K * (K + 2.0) ** (K - 1)
         mass = k ** k * s_alpha * math.sqrt(D_copy * k)
-        psi_n = _next_pow2((2.0 * amplify * mass / eps) ** (2.0 / 3.0))
+        psi_n = _next_pow2(real((2.0 * amplify * mass / eps) ** (2.0 / 3.0), 0.0,
+                                _MAX_SHIFTS, PrecisionError, "shift count N"))
     copy, _, _, consts = _monomial_net(m, eta, D_copy, spec, L, psi_n=psi_n)
     net = parallel_compose([copy] * (m + 1), b, [-j for j in range(m + 1)])
     bound = (m + 1) * (K + 1) * (3 * k + 2 * L + 8)
@@ -441,8 +491,13 @@ def transfer_expansion(terms, eps, D, spec: ActivationSpec) -> BuildReport:
     Each term gets the budget eps / max(1, 2 * sum |coeff|); terms are
     built at a common depth then combined affinely.
     """
-    _check_eps_and_D(eps, D)
-    terms = [(float(c), int(m)) for c, m in terms]
+    eps = real(eps, 0.0, 1.0, BuilderError, "eps", open_lo=True, open_hi=True)
+    D = real(D, 0.0, MAX_HALF_WIDTH, BuilderError, "domain half-width D", open_lo=True)
+    instance(spec, ActivationSpec, BuilderError, "spec")
+    terms = [(real(c, -math.inf, math.inf, BuilderError, "coefficient"),
+              integer(m, 2, MAX_ORDER, BuilderError, "m"))
+             for c, m in (sequence(term, BuilderError, "term")
+                          for term in sequence(terms, BuilderError, "terms"))]
     if not terms:
         raise BuilderError("transfer_expansion needs at least one term")
     total = sum(abs(c) for c, _ in terms)
@@ -472,10 +527,3 @@ def transfer_expansion(terms, eps, D, spec: ActivationSpec) -> BuildReport:
                  for r in reports) if spec.k == 1 else 0
     return BuildReport(net, depth, bound, eps, float(D),
                        (("per_term_budget", per_term),))
-
-
-def _check_eps_and_D(eps, D):
-    if not (0.0 < eps < 1.0):
-        raise BuilderError("eps must lie in (0, 1)")
-    if not (math.isfinite(D) and D > 0.0):
-        raise BuilderError(f"domain half-width D must be finite and > 0, got {D!r}")

@@ -19,6 +19,11 @@ from .exceptions import (
     EvalOverflowError,
     FormatError,
     InputShapeError,
+    array,
+    instance,
+    integer,
+    real,
+    sequence,
 )
 
 __all__ = [
@@ -37,22 +42,8 @@ __all__ = [
 ]
 
 
-def _index(x):
-    """An index or dimension: an int or numpy integer, never a bool."""
-    if type(x) is int or isinstance(x, np.integer):
-        return int(x)
-    raise FormatError(f"expected an integer, got {x!r}")
-
-
-def _number(x):
-    """A weight or constant: an int, float or numpy number, never a bool,
-    within the float range."""
-    if type(x) in (int, float) or isinstance(x, (np.integer, np.floating)):
-        try:
-            return float(x)
-        except OverflowError:
-            raise FormatError(f"number {x!r} is beyond the float range") from None
-    raise FormatError(f"expected a number, got {x!r}")
+# Largest sigmoidal order k: evaluating a net takes k - 1 products a layer
+MAX_ORDER = 64
 
 
 def _clean(entries, dims):
@@ -71,7 +62,8 @@ def _clean(entries, dims):
             raise FormatError(f"entry {key} needs {len(dims)} indices and a value")
         # plain ints and floats, as JSON reads them, need no conversion
         if not (type(val) is float and type(key[0]) is type(key[-1]) is int):
-            key, val = tuple(map(_index, key)), _number(val)
+            key = tuple(integer(i, None, None, FormatError, "index") for i in key)
+            val = real(val, -math.inf, math.inf, FormatError, "weight")
         if not (0 <= key[0] < dims[0] and 0 <= key[-1] < dims[-1]):
             raise InputShapeError(f"index {key} outside {dims}")
         if key in seen:
@@ -99,28 +91,24 @@ class AffineStep:
     node_weights: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "in_dim", _index(self.in_dim))
-        object.__setattr__(self, "out_dim", _index(self.out_dim))
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise InputShapeError("affine step dimensions must be positive")
-        object.__setattr__(self, "edge_weights",
-                           _clean(self.edge_weights, (self.out_dim, self.in_dim)))
-        object.__setattr__(self, "node_weights",
-                           _clean(self.node_weights, (self.out_dim,)))
+        for name in ("in_dim", "out_dim"):
+            object.__setattr__(self, name, integer(
+                getattr(self, name), 1, None, (FormatError, InputShapeError), name))
+        object.__setattr__(self, "edge_weights", _clean(
+            sequence(self.edge_weights, FormatError, "edge weights"),
+            (self.out_dim, self.in_dim)))
+        object.__setattr__(self, "node_weights", _clean(
+            sequence(self.node_weights, FormatError, "node weights"), (self.out_dim,)))
 
     @classmethod
     def from_dense(cls, matrix, bias=None):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise InputShapeError("dense affine matrix must be 2-d")
+        matrix = array(matrix, (None, None), (InputShapeError, FormatError), "dense matrix")
         out_dim, in_dim = matrix.shape
         rows, cols = np.nonzero(matrix)
         edges = zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
         nodes = ()
         if bias is not None:
-            bias = np.asarray(bias, dtype=float).reshape(-1)
-            if bias.shape != (out_dim,):
-                raise InputShapeError("bias length must equal out_dim")
+            bias = array(np.ravel(bias), (out_dim,), (InputShapeError, FormatError), "bias")
             rows = np.flatnonzero(bias)
             nodes = zip(rows.tolist(), bias[rows].tolist())
         return cls(in_dim, out_dim, tuple(edges), tuple(nodes))
@@ -165,12 +153,11 @@ class ActivationSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise FormatError(f"unknown activation kind {self.kind!r}")
-        for name, check in zip("kCab", (_index, _number, _number, _number)):
-            object.__setattr__(self, name, check(getattr(self, name)))
-        if self.k < 1:
-            raise FormatError("sigmoidal order k must be >= 1")
-        if not (self.C > 0 and self.a > 0 and self.b > 0):
-            raise FormatError("constants (C, a, b) must be positive")
+        object.__setattr__(self, "k", integer(self.k, 1, MAX_ORDER, FormatError,
+                                              "sigmoidal order k"))
+        for name in "Cab":
+            object.__setattr__(self, name, real(getattr(self, name), 0.0, math.inf,
+                                                FormatError, name, open_lo=True))
 
 
 def _sigmoid(x):
@@ -184,14 +171,14 @@ def _sigmoid(x):
 
 def relu_power(k):
     """x -> max(0, x)^k with its canonical constants."""
-    k = _index(k)
+    k = integer(k, 1, MAX_ORDER, FormatError, "k")
     return ActivationSpec("relu_power", k, C=float(max(1, k)), a=1.0,
                           b=float(max(1, k - 1)))
 
 
 def logistic_power(k):
     """x -> x^k * sigmoid(x); order-k sigmoidal, smooth everywhere."""
-    k = _index(k)
+    k = integer(k, 1, MAX_ORDER, FormatError, "k")
     return ActivationSpec("logistic_power", k, C=2.0, a=1.0, b=float(k))
 
 
@@ -208,7 +195,10 @@ class Network:
     activation: ActivationSpec
 
     def __post_init__(self):
-        steps = tuple(self.steps)
+        steps = sequence(self.steps, CompositionError, "steps")
+        for step in steps:
+            instance(step, AffineStep, CompositionError, "step")
+        instance(self.activation, ActivationSpec, CompositionError, "activation")
         if len(steps) < 2:
             raise CompositionError("a network needs at least 2 layers")
         for prev, cur in zip(steps, steps[1:]):
@@ -237,6 +227,7 @@ class Network:
 
 def connectivity(net: Network) -> int:
     """Total number of stored nonzero edge and node weights."""
+    instance(net, Network, InputShapeError, "net")
     return sum(s.weight_count for s in net.steps)
 
 
@@ -249,13 +240,9 @@ def evaluate_batch(net: Network, xs) -> np.ndarray:
     sigmoid of ``logistic_power`` is taken in float64.  Each output column
     depends only on its own input column.
     """
-    z = np.asarray(xs, dtype=float)
-    if z.ndim != 2 or z.shape[0] != net.input_dim:
-        raise InputShapeError(
-            f"expected batch of shape ({net.input_dim}, n), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InputShapeError("batch contains non-finite entries")
-    return _evaluate_dd(net, z)
+    instance(net, Network, InputShapeError, "net")
+    return _evaluate_dd(net, array(xs, (net.input_dim, None), InputShapeError,
+                                    "batch of shape ({}, {})"))
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker's constant
@@ -469,6 +456,8 @@ def serial_compose(first: Network, second: Network) -> Network:
     their composition is a single affine map and the result has depth
     L1 + L2 - 1.  Entries that cancel to exactly 0.0 are dropped.
     """
+    instance(first, Network, CompositionError, "first")
+    instance(second, Network, CompositionError, "second")
     _check_same_activation(first, second)
     if second.input_dim != first.output_dim:
         raise CompositionError(
@@ -491,11 +480,13 @@ def parallel_compose(nets, coeffs, shifts=None) -> Network:
     so depth is unchanged and no extra weights appear for them.  Subnets
     with a zero coefficient are pruned entirely.
     """
-    nets = list(nets)
-    coeffs = [float(c) for c in coeffs]
-    if shifts is None:
-        shifts = [0.0] * len(nets)
-    shifts = [float(s) for s in shifts]
+    nets = [instance(net, Network, CompositionError, "net")
+            for net in sequence(nets, CompositionError, "nets")]
+    coeffs = [real(c, -math.inf, math.inf, CompositionError, "coeff")
+              for c in sequence(coeffs, CompositionError, "coeffs")]
+    shifts = [0.0] * len(nets) if shifts is None else [
+        real(s, -math.inf, math.inf, CompositionError, "shift")
+        for s in sequence(shifts, CompositionError, "shifts")]
     if not nets or len(nets) != len(coeffs) or len(nets) != len(shifts):
         raise CompositionError("nets, coeffs and shifts must align and be nonempty")
     keep = [(n, c, s) for n, c, s in zip(nets, coeffs, shifts) if c != 0.0]
@@ -554,7 +545,7 @@ def identity_extend(net: Network) -> Network:
     Uses x = relu(x) - relu(-x) on the scalar output, so only order-1 ReLU
     nets can be extended exactly.
     """
-    act = net.activation
+    act = instance(net, Network, CompositionError, "net").activation
     if not (act.kind == "relu_power" and act.k == 1):
         raise CompositionError("exact identity extension needs relu_power k=1")
     if net.output_dim != 1:
@@ -571,6 +562,7 @@ NETWORK_FORMAT_VERSION = 1
 
 def network_to_json(net: Network) -> str:
     """Serialize with full-precision decimal numbers (repr round-trip)."""
+    instance(net, Network, FormatError, "net")
     act = net.activation
     doc = {
         "format": NETWORK_FORMAT_VERSION,
@@ -593,21 +585,23 @@ def network_to_json(net: Network) -> str:
 
 def network_from_json(text: str | bytes) -> Network:
     """Parse and validate a serialized network (all invariants re-checked)."""
+    instance(text, (str, bytes, bytearray), FormatError, "text")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid network JSON: {exc}") from exc
     try:
-        if _index(doc["format"]) != NETWORK_FORMAT_VERSION:
+        if integer(doc["format"], None, None, FormatError, "format") \
+                != NETWORK_FORMAT_VERSION:
             raise FormatError(f"unsupported network format {doc['format']}")
         a = doc["activation"]
         spec = ActivationSpec(a["kind"], a["k"], a["C"], a["a"], a["b"])
         steps = tuple(AffineStep(s["in"], s["out"], s["edges"], s["nodes"])
                       for s in doc["steps"])
         net = Network(steps, spec)
-        if net.input_dim != _index(doc["d"]):
+        if net.input_dim != integer(doc["d"], None, None, FormatError, "d"):
             raise FormatError("declared input dimension disagrees with steps")
-        if net.depth != _index(doc["L"]):
+        if net.depth != integer(doc["L"], None, None, FormatError, "L"):
             raise FormatError("declared depth disagrees with steps")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network document: {exc}") from exc

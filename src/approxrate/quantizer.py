@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .exceptions import QuantizerError, SearchExhaustedError
+from .exceptions import QuantizerError, SearchExhaustedError, instance, integer, real
 from .nnet import _UP, AffineStep, Network, _evaluate_bounded, evaluate_batch
 from .ratelab import _SUP_GRID
 from .wedgelet import _round_half_toward_zero
@@ -25,16 +25,12 @@ __all__ = [
 ]
 
 
-def _check_eta(eta):
-    # 1/2 itself is admitted: the bit formula is exercised there
-    if not (0.0 < eta <= 0.5):
-        raise QuantizerError("eta must lie in (0, 1/2]")
-
-
-def _check_grid(eta, k, m):
-    _check_eta(eta)
-    if k < 1 or m < 1:
-        raise QuantizerError("k and m must be >= 1")
+# Largest exponents k and m: the clamp range and step are eta^-k and
+# eta^m, past the float range long before this at any eta <= 1/2
+MAX_EXPONENT = 1 << 20
+# Most sup-grid points per input dimension, and most exponents searched
+MAX_GRID = 1 << 20
+MAX_M_CAP = 1024
 
 
 def _power(eta: float, e: int) -> float:
@@ -72,7 +68,10 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
     may round to exactly zero and is then dropped, so connectivity never
     increases.
     """
-    _check_grid(eta, k, m)
+    instance(net, Network, QuantizerError, "net")
+    eta, k, m = (real(eta, 0.0, 0.5, QuantizerError, "eta", open_lo=True),
+                 integer(k, 1, MAX_EXPONENT, QuantizerError, "k and m"),
+                 integer(m, 1, MAX_EXPONENT, QuantizerError, "k and m"))
     cap = _power(eta, -k)
     worst = net.max_abs_weight()
     if worst > cap * (1.0 + 1e-12):
@@ -91,13 +90,17 @@ def quantize_weights(net: Network, eta: float, k: int, m: int) -> Network:
 def bits_per_weight(eta: float, k: int, m: int) -> int:
     """ceil((k + m) log2(1/eta)) + 1; the extra bit carries the sign.
     k < 1 or m < 1 is a ``QuantizerError``."""
-    _check_grid(eta, k, m)
+    # 1/2 itself is admitted: the bit formula is exercised there
+    eta, k, m = (real(eta, 0.0, 0.5, QuantizerError, "eta", open_lo=True),
+                 integer(k, 1, MAX_EXPONENT, QuantizerError, "k and m"),
+                 integer(m, 1, MAX_EXPONENT, QuantizerError, "k and m"))
     return int(math.ceil((k + m) * math.log2(1.0 / eta) - 1e-12)) + 1
 
 
 def weight_range_exponent(net: Network, eta: float) -> int:
     """Smallest k >= 1 with max |weight| <= eta^-k."""
-    _check_eta(eta)
+    instance(net, Network, QuantizerError, "net")
+    eta = real(eta, 0.0, 0.5, QuantizerError, "eta", open_lo=True)
     worst = net.max_abs_weight()
     k = 1
     while _power(eta, -k) * (1.0 + 1e-12) < worst:
@@ -109,16 +112,15 @@ def weight_range_exponent(net: Network, eta: float) -> int:
 
 def _quantization_grid(d: int, D: float, grid: int):
     """About ``grid`` points per input dimension over [-D, D]^d (d <= 2); a
-    D that is not finite and positive is a ``QuantizerError``."""
-    if not (math.isfinite(D) and D > 0):
-        raise QuantizerError(f"the sup grid needs a finite D > 0, got {D!r}")
-    if int(grid) < 1:
-        raise QuantizerError("the sup grid needs at least one point")
+    D that is not finite and positive, or a grid that is not an integer in
+    1..MAX_GRID, is a ``QuantizerError``."""
+    D = real(D, 0.0, math.inf, QuantizerError, "the sup grid's D", open_lo=True)
+    grid = integer(grid, 1, MAX_GRID, QuantizerError, "sup grid points")
     if d == 1:
-        return np.linspace(-float(D), float(D), int(grid))[None, :]
+        return np.linspace(-D, D, grid)[None, :]
     if d == 2:
-        side = max(2, int(math.isqrt(int(grid))))
-        axis = np.linspace(-float(D), float(D), side)
+        side = max(2, math.isqrt(grid))
+        axis = np.linspace(-D, D, side)
         xg, yg = np.meshgrid(axis, axis)
         return np.stack([xg.ravel(), yg.ravel()])
     raise QuantizerError("sup grids are provided for input dimension <= 2")
@@ -210,6 +212,8 @@ def _sup_error(q: _Grid, ref: _Grid) -> float:
 def measured_sup_error(qnet: Network, net: Network, D: float) -> float:
     """max |qnet - net| on the grid find_min_m searches by default; D must
     be finite and > 0 (``QuantizerError``)."""
+    instance(qnet, Network, QuantizerError, "qnet")
+    instance(net, Network, QuantizerError, "net")
     xs = _quantization_grid(net.input_dim, D, _SUP_GRID)
     return _sup_error(_Grid(qnet, xs), _Grid(net, xs))
 
@@ -253,7 +257,10 @@ def _search_min_m(net: Network, eta: float, k: int, D: float, grid: int = _SUP_G
     double-double maximum, and at the default grid equals
     ``measured_sup_error`` of the quantized net.
     """
-    _check_eta(eta)
+    instance(net, Network, QuantizerError, "net")
+    eta = real(eta, 0.0, 0.5, QuantizerError, "eta", open_lo=True)
+    k = integer(k, 1, MAX_EXPONENT, QuantizerError, "k")
+    m_cap = integer(m_cap, 1, MAX_M_CAP, QuantizerError, "m_cap")
     xs = _quantization_grid(net.input_dim, D, grid)
     on_screen = np.arange(xs.shape[1]) % _SCREEN_STRIDE == 0
     refs = [_Grid(net, xs[:, on_screen]), _Grid(net, xs[:, ~on_screen])]

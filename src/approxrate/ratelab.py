@@ -17,6 +17,10 @@ from .exceptions import (
     InputShapeError,
     ResolutionMismatchError,
     SizeError,
+    array,
+    integer,
+    real,
+    sequence,
 )
 from .nnet import Network, evaluate_batch
 
@@ -44,17 +48,13 @@ _SUP_GRID = 10_000  # sup-grid points, for the build certificates and quantize
 _L2_PANELS = 2048  # Simpson panels of l2_error_quad
 
 
-def _check_bounds(lo, hi):
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise DomainError(f"need finite bounds with lo <= hi, got [{lo!r}, {hi!r}]")
-
-
 def sup_error_on_grid(candidate, target, lo, hi) -> float:
     """Max abs difference on a uniform grid of ``_SUP_GRID`` points over
     [lo, hi], over every output of a network.  Bounds that are not finite,
     or lo > hi, are a ``DomainError``."""
-    _check_bounds(lo, hi)
-    xs = np.linspace(float(lo), float(hi), _SUP_GRID)
+    lo = real(lo, -math.inf, math.inf, DomainError, "lo")
+    hi = real(hi, lo, math.inf, DomainError, "hi")
+    xs = np.linspace(lo, hi, _SUP_GRID)
     return float(np.max(np.abs(_as_callable(candidate)(xs) - _as_callable(target)(xs))))
 
 
@@ -69,8 +69,9 @@ def l2_error_quad(candidate, target, lo, hi) -> float:
     """L2 distance on [lo, hi] by composite Simpson quadrature; the squared
     differences of a network's outputs are summed.  Bounds that are not
     finite, or lo > hi, are a ``DomainError``."""
-    _check_bounds(lo, hi)
-    xs = np.linspace(float(lo), float(hi), 2 * _L2_PANELS + 1)
+    lo = real(lo, -math.inf, math.inf, DomainError, "lo")
+    hi = real(hi, lo, math.inf, DomainError, "hi")
+    xs = np.linspace(lo, hi, 2 * _L2_PANELS + 1)
     diff = _as_callable(candidate)(xs) - _as_callable(target)(xs)
     squares = (diff * diff).reshape(-1, xs.size).sum(axis=0)
     h = (hi - lo) / _L2_PANELS
@@ -79,9 +80,10 @@ def l2_error_quad(candidate, target, lo, hi) -> float:
 
 
 def l2_error_pixels(a, b) -> float:
-    """L2 distance of two pixel arrays viewed as functions on [0,1]^2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """L2 distance of two pixel arrays viewed as functions on [0,1]^2; an
+    entry that is not finite is a ``DomainError``."""
+    a = array(a, None, (InputShapeError, DomainError), "pixel array")
+    b = array(b, None, (InputShapeError, DomainError), "pixel array")
     if a.shape != b.shape:
         raise ResolutionMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return float(np.sqrt(np.mean((a - b) ** 2)))
@@ -103,17 +105,16 @@ def fit_rate(samples) -> RateReport:
     Fewer than 3 samples, sizes not strictly increasing, or a size or
     error that is not finite and positive is a ``DomainError``.
     """
-    samples = [(float(s), float(e)) for s, e in samples]
+    samples = [(real(s, 0.0, math.inf, DomainError, "size", open_lo=True),
+                real(e, 0.0, math.inf, DomainError, "error", open_lo=True))
+               for s, e in (sequence(pair, DomainError, "sample")
+                            for pair in sequence(samples, DomainError, "samples"))]
     if len(samples) < 3:
         raise DomainError("need at least 3 samples to fit a rate")
     sizes = np.array([s for s, _ in samples])
     errors = np.array([e for _, e in samples])
     if np.any(sizes[1:] <= sizes[:-1]):
         raise DomainError("sizes must be strictly increasing")
-    if not (np.isfinite(sizes).all() and np.isfinite(errors).all()):
-        raise DomainError("sizes and errors must be finite")
-    if np.any(errors <= 0.0) or np.any(sizes <= 0.0):
-        raise DomainError("sizes and errors must be positive")
     lx, ly = np.log(sizes), np.log(errors)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -127,26 +128,25 @@ def _popcount_matrix(words, codebook):
     return np.bitwise_count(x)
 
 
-def _check_cube(m, R):
-    """m and R must be ints or numpy integers, bools excluded."""
-    for x in (m, R):
-        if not (type(x) is int or isinstance(x, np.integer)):
-            raise DomainError(f"need integer m and R, got {x!r}")
+# Largest cube dimension of the greedy, most codebook bits R (2^R slots,
+# each scoring a pool of up to 1024 words on up to 2^14 samples) and most
+# restarts
+MAX_GREEDY_M = 24
+MAX_GREEDY_R = 16
+MAX_RESTARTS = 1024
 
 
 def covering_distortion_exact(m: int, R: int) -> float:
     """Exact min over all 2^R-point codebooks of the mean Hamming distance.
 
     Exhaustive over all C(2^m, 2^R) codebooks; guarded to m <= 4, R <= 3.
-    An m or R that is not an integer is a ``DomainError``.
+    An m or R that is not an integer, m < 1 or R outside 0..m is a
+    ``DomainError``; m > 4 or R > 3 a ``SizeError``.
     """
-    _check_cube(m, R)
-    if m < 1 or R < 0:
-        raise DomainError("need m >= 1 and R >= 0")
-    if 2 ** R > 2 ** m:
-        raise DomainError("codebook larger than the cube")
-    if m > 4 or R > 3:
-        raise SizeError("exact search guarded to m <= 4, R <= 3; use greedy")
+    m = integer(m, 1, None, DomainError, "m")
+    R = integer(R, 0, m, DomainError, "R")
+    integer(m, 1, 4, SizeError, "m of the exact search (use greedy)")
+    integer(R, 0, 3, SizeError, "R of the exact search (use greedy)")
     words = np.arange(1 << m, dtype=np.uint32)
     size = 1 << R
     best = math.inf
@@ -193,18 +193,15 @@ def covering_distortion_greedy(m: int, R: int, restarts: int = 8,
     A slot scores its sample in blocks of ``_BLOCK`` rows whose column sums
     are exact in uint16 (``_BLOCK * m < 2**16``); the candidates' integer
     totals, and so the codebook and the result, are independent of the
-    block size.  An m or R that is not an integer, R < 0, or ``restarts``
-    that is not an integer >= 1, is a ``DomainError``.
+    block size.  An m that is not an integer in 1..MAX_GREEDY_M, an R not
+    one in 0..min(m, MAX_GREEDY_R), ``restarts`` not one in
+    1..MAX_RESTARTS, or a seed that is not an integer >= 0, is a
+    ``DomainError``.
     """
-    _check_cube(m, R)
-    if m < 1 or m > 24:
-        raise DomainError("greedy variant supports 1 <= m <= 24")
-    if R < 0:
-        raise DomainError(f"need R >= 0, got {R!r}")
-    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
-        raise DomainError(f"need an integer restarts >= 1, got {restarts!r}")
-    if 2 ** R > 2 ** m:
-        raise DomainError("codebook larger than the cube")
+    m = integer(m, 1, MAX_GREEDY_M, DomainError, "m")
+    R = integer(R, 0, min(m, MAX_GREEDY_R), DomainError, "R")
+    restarts = integer(restarts, 1, MAX_RESTARTS, DomainError, "restarts")
+    seed = integer(seed, 0, None, DomainError, "seed")
     words = np.arange(1 << m, dtype=np.uint32)
     size = 1 << R
     pool_cap, sample_cap = 1024, 1 << 14

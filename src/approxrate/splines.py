@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor
+from math import comb, factorial, floor, inf
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, SizeError, array, integer, real
 
 __all__ = [
     "bspline_closed",
@@ -24,6 +24,13 @@ __all__ = [
     "bspline_oracle_on_grid",
     "partition_of_unity_residual",
 ]
+
+# Largest order m: the exact coefficients of N_m take O(m^2) rationals a
+# piece, and float Horner loses the values long before this order
+MAX_ORDER = 32
+# Most nodes of one level of the oracle's lattice (8 MiB of floats)
+_MAX_LATTICE = 1 << 20
+_MAX_QUAD = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -40,10 +47,15 @@ def _piece_coeffs(m: int, piece: int) -> tuple:
 
 
 def bspline_closed(m: int, x: float) -> float:
-    """Value of N_m at x; zero outside [0, m]."""
-    if m < 1:
-        raise DomainError("B-spline order m must be >= 1")
-    x = float(x)
+    """Value of N_m at x; zero outside [0, m].  m is an integer in
+    1..MAX_ORDER and x a finite number (``DomainError``)."""
+    # fast paths for an int m and a float x (numpy floats included): the
+    # certificates call this once per point
+    if type(m) is not int or not 1 <= m <= MAX_ORDER:
+        m = integer(m, 1, MAX_ORDER, DomainError, "B-spline order m")
+    x = float(x) if isinstance(x, float) else real(x, -inf, inf, DomainError, "x")
+    if x - x != 0.0:  # refuses NaN and +-inf
+        real(x, -inf, inf, DomainError, "x")
     if m == 1:
         return 1.0 if 0.0 <= x <= 1.0 else 0.0
     if x < 0.0 or x > m:
@@ -57,11 +69,16 @@ def bspline_closed(m: int, x: float) -> float:
 
 
 def bspline_closed_many(m: int, xs) -> np.ndarray:
-    return np.array([bspline_closed(m, x) for x in np.asarray(xs, dtype=float).ravel()])
+    """``bspline_closed`` at every finite entry of xs, flattened."""
+    m = integer(m, 1, MAX_ORDER, DomainError, "B-spline order m")
+    return np.array([bspline_closed(m, x)
+                     for x in array(xs, None, DomainError, "xs").ravel().tolist()])
 
 
 def partition_of_unity_residual(m: int, x: float) -> float:
     """|sum_n N_m(x + n) - 1| over the finitely many contributing shifts."""
+    m = integer(m, 1, MAX_ORDER, DomainError, "B-spline order m")
+    x = real(x, -inf, inf, DomainError, "x")
     total = sum(bspline_closed(m, x + n) for n in range(-m, m + 1))
     return abs(total - 1.0)
 
@@ -87,32 +104,34 @@ def bspline_oracle_on_grid(m: int, xs, quad_points: int = 256) -> np.ndarray:
     Simpson integral of level k-1 over one unit, one step at a time, with
     one-sided edge values so the indicator's jumps cost nothing.  Accuracy
     is certified only for x on the 1/quad_points lattice, where all kinks
-    land on step edges.
+    land on step edges.  m is an integer in 1..MAX_ORDER, quad_points one
+    in 32..4096 and xs finite (``DomainError``); an x beyond +-2^20 or a
+    lattice of more than 2^20 nodes is a ``SizeError``.
     """
-    if m < 1:
-        raise DomainError("B-spline order m must be >= 1")
-    q = int(quad_points)
-    if q < 32:
-        raise DomainError("quad_points must be >= 32")
-    xs = np.asarray(xs, dtype=float).ravel()
+    m = integer(m, 1, MAX_ORDER, DomainError, "B-spline order m")
+    q = integer(quad_points, 32, _MAX_QUAD, DomainError, "quad_points")
+    xs = array(xs, None, DomainError, "xs").ravel()
     if xs.size == 0:
         return np.zeros(0)
     if m == 1:
         return np.array([1.0 if 0.0 <= x <= 1.0 else 0.0 for x in xs])
 
+    real(float(np.max(np.abs(xs))), 0.0, _MAX_LATTICE, SizeError, "largest |x|")
     x_hi = float(np.max(xs))
     # level k lattice: points x_hi - i * s_k with s_k = 1 / (q * 2^(m-k)),
     # spanning [min(xs) - (m - k), x_hi]; all sizes derive from the same
     # integer span so the nesting identity 2*(n_k - 1) + 1/s_{k-1} = n_{k-1} - 1
     # holds exactly.
     span_lo = float(np.min(xs))
-    g_steps = int(np.ceil((x_hi - span_lo) * q - 1e-9))
+    steps = real((x_hi - span_lo) * q, 0.0, _MAX_LATTICE, SizeError, "lattice span")
+    g_steps = int(np.ceil(steps - 1e-9))
 
     def lattice_size(k):
         s_inv = q * (1 << (m - k))
         return (g_steps + (m - k) * q) * (1 << (m - k)) + 1, s_inv
 
     n1, s1_inv = lattice_size(1)
+    integer(n1, 1, _MAX_LATTICE, SizeError, "oracle lattice size")
     i1 = np.arange(n1)
     # exact integer test when x_hi sits on the level-1 lattice
     pos = x_hi * s1_inv
@@ -161,4 +180,5 @@ def bspline_oracle_on_grid(m: int, xs, quad_points: int = 256) -> np.ndarray:
 
 def bspline_convolve_oracle(m: int, x: float, quad_points: int = 256) -> float:
     """Single-point oracle; see ``bspline_oracle_on_grid``."""
-    return float(bspline_oracle_on_grid(m, [float(x)], quad_points)[0])
+    x = real(x, -inf, inf, DomainError, "x")
+    return float(bspline_oracle_on_grid(m, [x], quad_points)[0])

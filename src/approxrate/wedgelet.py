@@ -38,8 +38,12 @@ from .exceptions import (
     FormatError,
     InputShapeError,
     RangeError,
+    array,
+    instance,
+    integer,
+    real,
+    sequence,
 )
-from .nnet import _index
 
 __all__ = [
     "DyadicSquare",
@@ -80,9 +84,9 @@ class DyadicSquare:
     iy: int
 
     def __post_init__(self):
-        if self.j < 0 or not (0 <= self.ix < 1 << self.j) \
-                or not (0 <= self.iy < 1 << self.j):
-            raise InputShapeError(f"square ({self.j},{self.ix},{self.iy}) invalid")
+        j = integer(self.j, 0, _MAX_J, InputShapeError, "square scale j")
+        integer(self.ix, 0, (1 << j) - 1, InputShapeError, "square ix")
+        integer(self.iy, 0, (1 << j) - 1, InputShapeError, "square iy")
 
     @property
     def side(self):
@@ -102,8 +106,13 @@ class DyadicSquare:
 
 
 def vertex_budget(j: int, J: int, K: int, m_cap: int = DEFAULT_M_CAP) -> int:
-    """Boundary vertex count M_j = min(4 * 2^(J+K-j), m_cap)."""
-    if m_cap < 4 or m_cap % 4:
+    """Boundary vertex count M_j = min(4 * 2^(J+K-j), m_cap): J in
+    0.._MAX_J, K in 0..255, j in 0..J and M_cap a multiple of 4 and at
+    least 4 (``FormatError``)."""
+    J = integer(J, 0, _MAX_J, FormatError, "J")
+    K = integer(K, 0, 0xFF, FormatError, "K")
+    j = integer(j, 0, J, FormatError, "j")
+    if integer(m_cap, 4, None, FormatError, "M_cap") % 4:
         raise FormatError("M_cap must be a multiple of 4 and at least 4")
     return min(4 * (1 << (J + K - j)), m_cap)
 
@@ -145,8 +154,10 @@ class Edgelet:
     m_count: int
 
     def __post_init__(self):
-        if not (0 <= self.v1 < self.v2 < self.m_count):
-            raise InputShapeError("edgelet needs 0 <= v1 < v2 < M_j")
+        instance(self.square, DyadicSquare, InputShapeError, "edgelet square")
+        m_j = integer(self.m_count, 2, 0xFFFF, InputShapeError, "edgelet M_j")
+        v2 = integer(self.v2, 1, m_j - 1, InputShapeError, "edgelet v2")
+        integer(self.v1, 0, v2 - 1, InputShapeError, "edgelet v1")
 
     @property
     def local_index(self):
@@ -155,6 +166,7 @@ class Edgelet:
 
     @classmethod
     def from_local_index(cls, square, idx, m_count):
+        idx = integer(idx, 0, None, InputShapeError, "edgelet index")
         return cls(square, *_vertex_pair(idx), m_count)
 
 
@@ -173,6 +185,11 @@ class EdRdpLeaf:
     square: DyadicSquare
     split: tuple | None = None  # (Edgelet, side bit)
 
+    def __post_init__(self):
+        # the split is checked where a code or partition reads it
+        # (``_Leaves.of``), so a leaf its header cannot carry still exists
+        instance(self.square, DyadicSquare, FormatError, "leaf square")
+
     @property
     def edgelet(self):
         return None if self.split is None else self.split[0]
@@ -190,6 +207,13 @@ class EdRdp:
     n: int
     K: int
     m_cap: int
+
+    def __post_init__(self):
+        # n, K and M_cap are checked where the leaves are read
+        leaves = sequence(self.leaves, FormatError, "leaves")
+        for leaf in leaves:
+            instance(leaf, EdRdpLeaf, FormatError, "leaf")
+        object.__setattr__(self, "leaves", leaves)
 
     @property
     def J(self):
@@ -278,8 +302,9 @@ def _pair_gram(frac0, norm: float):
 
 
 def _pixel_scale(n: int) -> int:
-    """J of an n x n pixel grid; n must be an integer power of two."""
-    n = _index(n)
+    """J of an n x n pixel grid; n must be an integer power of two, at most
+    2^_MAX_J."""
+    n = integer(n, None, 1 << _MAX_J, FormatError, "n")
     if n < 1 or (n & (n - 1)) != 0:
         raise FormatError("n must be a power of two")
     return n.bit_length() - 1
@@ -291,7 +316,7 @@ def wedge_mask(leaf: EdRdpLeaf, n: int):
     Drawn by the renderer itself rather than read from the edgelet
     dictionary, so it is an independent check on the codec's masks.
     """
-    sq = leaf.square
+    sq = instance(leaf, EdRdpLeaf, FormatError, "leaf").square
     if sq.j > _pixel_scale(n):
         raise InputShapeError("leaf square finer than the pixel grid")
     size = n >> sq.j
@@ -351,9 +376,9 @@ class _Leaves:
             if split is None:
                 rows.append((sq.j, sq.ix, sq.iy, -1, 0))
                 continue
-            edge, side = split
-            if side not in (0, 1):
-                raise FormatError(f"side {side!r} of a split leaf is not 0 or 1")
+            edge, side = sequence(split, FormatError, "split")
+            instance(edge, Edgelet, FormatError, "edgelet")
+            side = integer(side, 0, 1, FormatError, "side of a split leaf")
             # the fit and the reader hand the edgelet its leaf's own square
             if edge.square is not sq and edge.square != sq \
                     or edge.m_count != budgets[sq.j]:
@@ -457,7 +482,8 @@ def project(f_array, partition: EdRdp):
     ``CorruptionError``.  A whole scale is solved at once, with masks and
     Grams from the edgelet dictionary.
     """
-    f = _check_array(f_array, partition.n)
+    instance(partition, EdRdp, FormatError, "partition")
+    f = array(f_array, (partition.n,) * 2, (InputShapeError, DomainError), "a {}x{} array")
     table = _Leaves.of(partition.leaves, partition.n, partition.K, partition.m_cap)
     recon = np.zeros((partition.n, partition.n))  # C order: its tiles are views
     coefs, thetas = _solve(f, table, table.pairs(), recon)
@@ -504,15 +530,6 @@ def _pair_solve(v, v_other, grams, norm: float):
     g, g_other, g01, det = grams
     coef = (g_other * norm * v - g01 * norm * v_other) / (det * (norm * norm))
     return coef, coef * np.sqrt(g * norm)
-
-
-def _check_array(f_array, n):
-    f = np.asarray(f_array, dtype=float)
-    if f.shape != (n, n):
-        raise InputShapeError(f"expected a {n}x{n} array, got {f.shape}")
-    if not np.isfinite(f).all():
-        raise DomainError("array holds a NaN or infinite value")
-    return f
 
 
 def _valid_edgelets(m_j: int):
@@ -969,20 +986,19 @@ def fit_rdp(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
 def _fit(f_array, J: int, K: int, m_cap: int, lam: float):
     """(the checked array's scores, the leaf table ``_prune`` keeps at lam)."""
     _layout(J, K, m_cap)  # a header no stream can carry is refused unfitted
-    f = _check_array(f_array, 1 << J)
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
-    if lam < 0.0:
-        raise RangeError("lambda must be >= 0")
+    f = array(f_array, (1 << J,) * 2, (InputShapeError, DomainError), "a {}x{} array")
+    lam = real(real(lam, -math.inf, math.inf, DomainError, "lambda"),
+               0.0, math.inf, RangeError, "lambda")
     scores = _score(f, J, K, m_cap)
     return scores, _prune(scores, lam)
 
 
 def fit_cost(f_array, partition: EdRdp, lam: float) -> float:
     """Penalized cost of a given partition (for cross-checking the DP)."""
-    f = _check_array(f_array, partition.n)
+    n = instance(partition, EdRdp, FormatError, "partition").n
+    f = array(f_array, (n, n), (InputShapeError, DomainError), "a {}x{} array")
     proj = project(f, partition)
-    norm = 1.0 / (partition.n ** 2)
+    norm = 1.0 / (n * n)
     sse = float(np.sum((f - proj.reconstruction) ** 2)) * norm
     return sse + lam * len(partition.leaves)
 
@@ -1002,13 +1018,9 @@ def _layout(J: int, K: int, m_cap: int):
     or M_cap not an integer, J outside 0.._MAX_J, K outside a byte, or
     M_cap not a multiple of 4 in 4..65532.
     """
-    J, K, m_cap = _index(J), _index(K), _index(m_cap)
-    if not 0 <= J <= _MAX_J:
-        raise FormatError(f"J = {J} outside 0..{_MAX_J}")
-    if not 0 <= K <= 0xFF:
-        raise FormatError(f"K = {K} does not fit in a byte")
-    if m_cap > 0xFFFF:
-        raise FormatError(f"M_cap = {m_cap} does not fit in two bytes")
+    J = integer(J, 0, _MAX_J, FormatError, "J")
+    K = integer(K, 0, 0xFF, FormatError, "K")
+    m_cap = integer(m_cap, None, 0xFFFF, FormatError, "M_cap")
     offset = (1 << 2 * J) + 1
     splits = []
     for j in range(J + 1):
@@ -1066,6 +1078,8 @@ class WedgeCode:
     """
 
     def __init__(self, J: int, K: int, m_cap: int, records: tuple):
+        # the header and records are checked when first used (``_table``)
+        records = sequence(records, FormatError, "records")
         self.__dict__.update(J=J, K=K, m_cap=m_cap, records=records)
 
     @classmethod
@@ -1108,8 +1122,12 @@ class WedgeCode:
         a ``FormatError``; q outside the alphabet is a ``RangeError``.
         """
         offset = _layout(self.J, self.K, self.m_cap)[2]
-        table = _Leaves.of([leaf for leaf, _ in self.records], self.n, self.K, self.m_cap)
-        return table, _coefficients(self.records, offset)
+        records = [sequence(record, FormatError, "record") for record in self.records]
+        if any(len(record) != 2 for record in records):
+            raise FormatError("a record is a (leaf, q) pair")
+        table = _Leaves.of([instance(leaf, EdRdpLeaf, FormatError, "leaf")
+                            for leaf, _ in records], self.n, self.K, self.m_cap)
+        return table, _coefficients(records, offset)
 
     @property
     def n(self):
@@ -1159,6 +1177,7 @@ class WedgeCode:
         ``FormatError``.  The records go straight into the code's table;
         their leaf objects are built only when a caller reads ``records``.
         """
+        instance(data, (bytes, bytearray), FormatError, "stream")
         if len(data) < _HEADER_BYTES:
             raise CorruptionError("stream shorter than the fixed header")
         if data[:4] != _MAGIC:
@@ -1226,11 +1245,9 @@ def _coefficients(records, offset: int):
     Each q must be an integer with |q| <= offset = n^2 + 1, the stream's
     alphabet; anything else is a ``RangeError``.
     """
-    qs = [q for _, q in records]
-    if not all(isinstance(q, (int, np.integer)) and -offset <= q <= offset
-               for q in qs):
-        raise RangeError("coefficient outside the stream alphabet")
-    return np.array(qs, dtype=np.int64)
+    return np.array([integer(q, -offset, offset, RangeError,
+                             "coefficient q of the stream alphabet")
+                     for _, q in records], dtype=np.int64)
 
 
 def encode(f_array, J: int, K: int, m_cap: int = DEFAULT_M_CAP,
@@ -1289,6 +1306,7 @@ def decode(code: WedgeCode) -> np.ndarray:
     not carry (see ``_Leaves.of``), is a ``FormatError``, and a
     coefficient outside the stream's alphabet a ``RangeError``, before the
     image is allocated; a stream's own field checks have refused both.
+    Anything but a ``WedgeCode`` is a ``FormatError``.
     Record squares must be disjoint, except that one square may carry
     sides 0 and 1 of one edgelet; anything else is a ``CorruptionError``,
     found before any mask is drawn, so the masks never take more than
@@ -1296,7 +1314,7 @@ def decode(code: WedgeCode) -> np.ndarray:
     A whole scale is drawn at once, from the edgelet dictionary; a decode
     that finds no entry built draws only the edgelets its records name.
     """
-    table, q = code._table
+    table, q = instance(code, WedgeCode, FormatError, "code")._table
     n = code.n
     norm = 1.0 / (n * n)
     table.partners()
@@ -1321,21 +1339,29 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
     push the penalty as high as the target allows.  The image is scored
     once; each of the 17 probes prunes and reads its code's bits and error
     from the scores (see ``_probe``), and only the partition returned is
-    quantized and decoded.  Returns (code, error, reached); when the target
+    quantized and decoded.  A table is realized (quantized and decoded) at
+    most once in a row: the last realized table and its code are reused
+    when a probe or the result needs the same table again.  Returns (code,
+    error, reached); when the target
     is unreachable even at zero penalty the best-effort code comes back
     with reached = False.
     """
     _layout(J, K, m_cap)
     n = 1 << J
-    f = _check_array(f_array, n)
+    f = array(f_array, (n, n), (InputShapeError, DomainError), "a {}x{} array")
     # NaN would slip through both comparisons with err below
-    if not math.isfinite(target_eps):
-        raise DomainError(f"target eps must be finite, got {target_eps!r}")
+    target_eps = real(target_eps, -math.inf, math.inf, DomainError, "target eps")
     scores = _score(f, J, K, m_cap)
+    last = []  # the last table realized, and its (bits, err, code)
+
+    def realize(table):
+        if not (last and _same_table(last[0], table)):
+            last[:] = table, _realize(f, scores, table)
+        return last[1]
 
     def attempt(lam):  # (table, bits, err)
         table = _prune(scores, lam)
-        return (table, *_probe(f, scores, table, target_eps))
+        return (table, *_probe(scores, table, target_eps, realize))
 
     best = attempt(0.0)
     reached = best[2] <= target_eps
@@ -1350,7 +1376,7 @@ def encode_to_target(f_array, J: int, K: int, m_cap: int, target_eps: float):
                     best = probe
             else:
                 hi = mid
-    _, err, code = _realize(f, scores, best[0])
+    _, err, code = realize(best[0])
     return code, err, reached
 
 
@@ -1361,21 +1387,27 @@ def _realize(f, scores: _Scores, table: _Leaves):
     return code.bit_length, float(np.sqrt(np.mean((decode(code) - f) ** 2))), code
 
 
-def _probe(f, scores: _Scores, table: _Leaves, target: float):
+def _same_table(a: _Leaves, b: _Leaves) -> bool:
+    """Whether two tables of one image's scores hold the same rows."""
+    return all(np.array_equal(getattr(a, col), getattr(b, col))
+               for col in ("j", "ix", "iy", "local", "side"))
+
+
+def _probe(scores: _Scores, table: _Leaves, target: float, realize):
     """(bits, RMS error) of the code ``_quantize`` makes of a table
     ``_prune`` gave.
 
     Read from the scores by ``_closed_form`` unless its squared error is
     within a relative 2e-9 of the target's square (1e-9 on the error) or
     within the rounding of scored errors that cancel against the pixels'
-    energy, sum f^2 * norm: then ``_realize`` decodes the code and
-    measures it.
+    energy, sum f^2 * norm: then ``realize``, ``_realize`` of the image,
+    decodes the code and measures it.
     """
     bits, mse = _closed_form(scores, table)
     energy = scores.sse_whole[0] + scores.theta[0] ** 2
     if abs(mse - target * target) > 2e-9 * target * target + 1e-12 * energy:
         return bits, math.sqrt(mse)
-    return _realize(f, scores, table)[:2]
+    return realize(table)[:2]
 
 
 def _closed_form(scores: _Scores, table: _Leaves):

@@ -244,3 +244,21 @@ def test_encode_keeps_the_rounded_thetas_of_the_public_fit(name, J):
         qs = [_nearest_half_toward_zero(theta / eta) for theta in project(f, partition).thetas]
         expect = [(leaf, q) for leaf, q in zip(partition.leaves, qs) if q != 0]
         assert list(encode(f, J, J, M_CAP, lam).records) == expect
+
+
+@pytest.mark.parametrize("lam, calls", [(2.0 ** -12, 1), (2.0 ** -8, 1)])
+def test_a_table_is_realized_once_in_a_row(lam, calls, monkeypatch):
+    # before the last realized table was kept, these targets realized the
+    # same final table 6 and 7 times
+    f = _image("disc", 64)
+    code = encode(f, 6, 6, M_CAP, lam)
+    eps = math.sqrt(np.mean((decode(code) - f) ** 2))
+    ref = _reference_encode_to_target(f, 6, 6, M_CAP, eps)
+    tables = []
+    realize = wedgelet._realize
+    monkeypatch.setattr(wedgelet, "_realize", lambda f, scores, table: tables.append(table)
+                        or realize(f, scores, table))
+    got = encode_to_target(f, 6, 6, M_CAP, eps)
+    assert got[0].to_bytes() == ref[0].to_bytes() and got[1:] == ref[1:]
+    assert not any(wedgelet._same_table(a, b) for a, b in zip(tables, tables[1:]))
+    assert len(tables) == calls
